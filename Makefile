@@ -12,8 +12,14 @@ build:
 vet:
 	$(GO) vet ./...
 
+# Uncached and on 1, 2 and 4 Ps: an ordering bug that only shows with real
+# parallelism (or only without it) must not hide behind the test cache.
+# bench/ is a module of its own, so tier-1 alone never builds it: vet and
+# test it here, or an internal/ change can break the benchmark of record
+# unnoticed (its smoke run takes about 40 s).
 test:
-	$(GO) test ./...
+	$(GO) test -count=1 -cpu 1,2,4 ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Regenerate every table and figure (laptop scale; SCALE=196393 for the
 # paper's full corpus).
@@ -21,9 +27,11 @@ SCALE ?= 20000
 experiments:
 	$(GO) run ./cmd/experiments -scale $(SCALE)
 
-# One benchmark per table/figure plus the per-package ablations.
+# The benchmark of record (bench/README.md): five workloads, end-to-end
+# metrics checked against brute-force references. ARGS="--trace 1" adds
+# the per-layer metrics.
 bench:
-	$(GO) test -bench=. -benchmem ./...
+	bash bench/run.sh $(ARGS)
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -486,10 +486,20 @@ func TestClusterSpoolReplayAfterRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for time.Now().Before(deadline) {
+		// Counters are ordered before the effects they describe: at every
+		// poll, records seen to have left node 1's spool (the effect, read
+		// first) are already counted replayed, evicted or lost (read
+		// second). A replayer that pops the frame before it counts fails
+		// this in the window between the two.
+		effect, counted := rt.Stats()[1], rt.Stats()[1]
+		if left := effect.Spooled - effect.SpoolRecords; left > counted.Replayed+counted.Evicted+counted.Lost {
+			t.Fatalf("%d records left the spool but only %d replayed + %d evicted + %d lost are counted",
+				left, counted.Replayed, counted.Evicted, counted.Lost)
+		}
 		if n, err := co.Count(ctx, nil); err == nil && n == total {
 			break
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
 	if n, err := co.Count(ctx, nil); err != nil || n != total {
 		t.Fatalf("after recovery Count = %d, %v; want %d (stats %+v)", n, err, total, rt.Stats())

@@ -182,8 +182,11 @@ func (co *Coordinator) cached(ctx context.Context, op, params string, q store.Qu
 }
 
 // Search scatter-gathers a search. size limits the merged result
-// (negative = unlimited); each node is asked for its full result set so
-// truncation happens exactly once, after the merge. Search results are
+// (negative = unlimited) and is pushed down to the nodes: one scatter
+// reads each partition from exactly one node, so the nodes' result sets
+// are disjoint, any hit of the global top-size has fewer than size hits
+// ahead of it on its own node, and the union of per-node top-size lists
+// therefore contains the global one. Search results are
 // deliberately not cached: hit payloads carry full documents, so one
 // broad query could pin an unbounded slice of the corpus in memory —
 // unlike the fixed-size merged aggregates Count/DateHistogram/Terms
@@ -192,7 +195,7 @@ func (co *Coordinator) Search(ctx context.Context, q store.Query, size int, sort
 	var mu sync.Mutex
 	var hits []store.Hit
 	err := co.scatter(ctx, q, func(ctx context.Context, node int, raw json.RawMessage) error {
-		h, err := co.clients[node].Search(ctx, raw, -1, sortAsc)
+		h, err := co.clients[node].Search(ctx, raw, size, sortAsc)
 		if err != nil {
 			return err
 		}

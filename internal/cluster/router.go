@@ -394,14 +394,17 @@ func (rt *Router) replayDrain(ctx context.Context, n int) {
 			return
 		}
 		nd.breaker.Success()
+		// Count before publishing: a reader that sees the replayed docs
+		// (through a fresh generation) or the shorter spool must already
+		// see the counter that describes them. A refused Pop means the
+		// frame was concurrently evicted (and counted evicted) while the
+		// write was in flight; it was in fact delivered, so replayed is
+		// counted either way.
+		nd.replayed.Add(int64(cnt))
 		// Replayed docs just became queryable on the node: invalidate
 		// cached query results, same as a live delivery.
 		rt.gen.Bump()
-		// A refused Pop means the frame was concurrently evicted (and
-		// counted evicted) while the write was in flight; it was in fact
-		// delivered, so replayed is counted either way.
 		nd.spool.Pop(tok)
-		nd.replayed.Add(int64(cnt))
 	}
 }
 

@@ -168,6 +168,34 @@ func TestScatterGatherMergeMatchesSingleStore(t *testing.T) {
 				}
 			}
 
+			// Bounded search: pushing size down to the nodes returns
+			// exactly what fetching everything and truncating after the
+			// merge returns — same (time, id) sequence, ties included
+			// (timestamps here have one-second grain and repeat).
+			for _, size := range []int{0, 1, 7, len(hits) + 3} {
+				for _, asc := range []bool{false, true} {
+					got, err := co.Search(ctx, q, size, asc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					all, err := co.Search(ctx, q, -1, asc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := MergeHits(all, size, asc)
+					if len(got) != len(want) {
+						t.Fatalf("%s: Search(size=%d asc=%v) returned %d hits, fetch-all-then-truncate %d",
+							label, size, asc, len(got), len(want))
+					}
+					for i := range got {
+						if !got[i].Doc.Time.Equal(want[i].Doc.Time) || got[i].Doc.ID != want[i].Doc.ID {
+							t.Fatalf("%s: Search(size=%d asc=%v) hit %d = (%v, %d), fetch-all-then-truncate (%v, %d)",
+								label, size, asc, i, got[i].Doc.Time, got[i].Doc.ID, want[i].Doc.Time, want[i].Doc.ID)
+						}
+					}
+				}
+			}
+
 			// DateHistogram: identical bucket sequence, including the
 			// clamp behavior the zero-time doc triggers on match-all.
 			interval := time.Duration(1+rng.Intn(600)) * time.Second

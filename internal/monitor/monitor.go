@@ -100,18 +100,18 @@ type RackReport struct {
 	NodesReporting int `json:"nodes_reporting"`
 }
 
-// Positional groups matching documents by the "rack" field. Racks are
-// returned busiest-first.
+// Positional groups matching documents by the "rack" field, with each
+// rack's category breakdown and distinct reporting hostnames, in one pivot
+// over the store. Racks are returned busiest-first.
 func Positional(st *store.Store, q store.Query) []RackReport {
-	racks := st.Terms(q, "rack", 0)
+	racks := st.Pivot(q, "rack", "category", "hostname")
 	out := make([]RackReport, 0, len(racks))
 	for _, rb := range racks {
-		rackQ := store.Bool{Must: []store.Query{q, store.Term{Field: "rack", Value: rb.Value}}}
 		rep := RackReport{Rack: rb.Value, Total: rb.Count, ByCategory: map[string]int{}}
-		for _, cb := range st.Terms(rackQ, "category", 0) {
+		for _, cb := range rb.Sub[0] {
 			rep.ByCategory[cb.Value] = cb.Count
 		}
-		rep.NodesReporting = len(st.Terms(rackQ, "hostname", 0))
+		rep.NodesReporting = len(rb.Sub[1])
 		out = append(out, rep)
 	}
 	return out

@@ -2,6 +2,8 @@ package monitor
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -100,6 +102,49 @@ func TestPositional(t *testing.T) {
 	}
 	if top.ByCategory[string(taxonomy.ThermalIssue)] != 15 {
 		t.Errorf("by category = %v", top.ByCategory)
+	}
+}
+
+// TestPositionalMatchesPerRackTerms pins the one-pivot Positional to the
+// query sequence it replaced — Terms by rack, then per rack a category
+// Terms and a hostname Terms restricted to that rack — on a randomized
+// corpus: same racks in the same busiest-first order (ties by name), same
+// totals, category breakdowns and distinct-host counts, for an unfiltered
+// and a filtered view. Documents without a rack, category or hostname are
+// in the corpus; racks keep one spelling, since the per-rack Term matched
+// case-insensitively where grouping is by exact value.
+func TestPositionalMatchesPerRackTerms(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	st := store.New(3)
+	cats := []taxonomy.Category{taxonomy.ThermalIssue, taxonomy.SSHConnection, taxonomy.HardwareIssue}
+	for i := 0; i < 600; i++ {
+		var fs store.Fields
+		if rng.Intn(10) > 0 {
+			fs = fs.Set("rack", fmt.Sprintf("r%d", rng.Intn(5)))
+		}
+		if rng.Intn(10) > 0 {
+			fs = fs.Set("hostname", fmt.Sprintf("cn%02d", rng.Intn(24)))
+		}
+		if rng.Intn(10) > 0 {
+			fs = fs.Set("category", string(cats[rng.Intn(len(cats))]))
+		}
+		st.Index(store.Doc{Time: t0.Add(time.Duration(i) * time.Second), Fields: fs,
+			Body: []string{"thermal zone throttled", "connection closed"}[rng.Intn(2)]})
+	}
+	for _, q := range []store.Query{store.MatchAll{}, store.Match{Text: "throttled"}, CategoryQuery(taxonomy.ThermalIssue)} {
+		var want []RackReport
+		for _, rb := range st.Terms(q, "rack", 0) {
+			rackQ := store.Bool{Must: []store.Query{q, store.Term{Field: "rack", Value: rb.Value}}}
+			rep := RackReport{Rack: rb.Value, Total: rb.Count, ByCategory: map[string]int{}}
+			for _, cb := range st.Terms(rackQ, "category", 0) {
+				rep.ByCategory[cb.Value] = cb.Count
+			}
+			rep.NodesReporting = len(st.Terms(rackQ, "hostname", 0))
+			want = append(want, rep)
+		}
+		if got := Positional(st, q); !reflect.DeepEqual(got, want) {
+			t.Errorf("Positional(%#v)\n got %+v\nwant %+v", q, got, want)
+		}
 	}
 }
 

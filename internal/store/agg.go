@@ -56,30 +56,15 @@ func (st *Store) DateHistogram(q Query, interval time.Duration) []HistogramBucke
 // wire and immune to per-node span blowups.
 func (st *Store) DateHistogramSparse(q Query, interval time.Duration) []HistogramBucket {
 	defer st.observeQuery(st.queryHist, st.queryStart())
-	if q == nil {
-		q = MatchAll{}
-	}
-	q = prepareQuery(q)
 	if interval <= 0 {
 		interval = time.Minute
 	}
 	counts := make(map[int64]int)
-	var d Doc
-	d.Fields = make(Fields, 0, 16)
+	walked := 0
 	for _, sh := range st.shards {
-		sh.mu.RLock()
-		for i := range sh.ents {
-			if sh.deleted(int32(i)) {
-				continue
-			}
-			sh.fillDoc(int32(i), &d)
-			if !q.matches(&d) {
-				continue
-			}
-			counts[bucketIndex(d.Time, interval)]++
-		}
-		sh.mu.RUnlock()
+		walked += sh.histogram(q, int64(interval), counts)
 	}
+	st.queryCands.Observe(float64(walked))
 	if len(counts) == 0 {
 		return nil
 	}
@@ -92,6 +77,35 @@ func (st *Store) DateHistogramSparse(q Query, interval time.Duration) []Histogra
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Start.Before(out[b].Start) })
 	return out
+}
+
+// histogram adds the shard's matches of q to counts, keyed by bucket
+// index, and returns the entries visited. Buckets come straight from the
+// stored (sec, nsec) — the same wrapping arithmetic as Time.UnixNano — and
+// a run of documents in one bucket costs one map update, which is the
+// common case: shards fill in time order.
+func (s *shard) histogram(q Query, interval int64, counts map[int64]int) int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	ev := s.bind(q)
+	defer ev.release()
+	var bucket, lo, run int64 // the current bucket starts at lo and has run docs so far
+	visited := ev.each(func(_ int32, e *docEnt) {
+		ns := e.sec*1e9 + int64(e.nsec)
+		if run > 0 && uint64(ns-lo) < uint64(interval) {
+			run++
+			return
+		}
+		if run > 0 {
+			counts[bucket] += int(run)
+		}
+		bucket = floorDiv(ns, interval)
+		lo, run = bucket*interval, 1
+	})
+	if run > 0 {
+		counts[bucket] += int(run)
+	}
+	return visited
 }
 
 // FillHistogram materializes the contiguous gap-filled histogram from
@@ -136,31 +150,42 @@ type TermBucket struct {
 // descending — "group syslog by node / by service" (§4.5.1).
 func (st *Store) Terms(q Query, field string, size int) []TermBucket {
 	defer st.observeQuery(st.queryTerms, st.queryStart())
-	if q == nil {
-		q = MatchAll{}
-	}
-	q = prepareQuery(q)
 	counts := make(map[string]int)
-	var d Doc
-	d.Fields = make(Fields, 0, 16)
+	walked := 0
 	for _, sh := range st.shards {
-		sh.mu.RLock()
-		for i := range sh.ents {
-			if sh.deleted(int32(i)) {
-				continue
-			}
-			sh.fillDoc(int32(i), &d)
-			if !q.matches(&d) {
-				continue
-			}
-			// v is an arena view; retaining it as a map key (and later in
-			// the returned TermBucket) is safe — the view pins its block.
-			if v, ok := d.Fields.Get(field); ok {
-				counts[v]++
-			}
-		}
-		sh.mu.RUnlock()
+		walked += sh.terms(q, field, counts)
 	}
+	st.queryCands.Observe(float64(walked))
+	return termBuckets(counts, size)
+}
+
+// terms adds the shard's matches of q to counts by value of field and
+// returns the entries visited. Documents are grouped by value span —
+// interned spans are canonical per shard, so span identity is exact-case
+// string identity — and each distinct value's string is resolved once, at
+// the end. The strings are arena views; retaining them as map keys and in
+// the returned buckets is safe, a view pins its block.
+func (s *shard) terms(q Query, field string, counts map[string]int) int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	key, ok := s.keySpan(field)
+	if !ok {
+		return 0
+	}
+	ev := s.bind(q)
+	defer ev.release()
+	visited := ev.each(func(off int32, _ *docEnt) {
+		if v, ok := s.fieldValue(off, key); ok {
+			ev.tally.add(tallyKey{v: v})
+		}
+	})
+	ev.tally.each(func(k tallyKey, c int) { counts[s.arena.view(k.v)] += c })
+	return visited
+}
+
+// termBuckets orders a value→count map the way Terms returns it and keeps
+// the first size buckets (all when size <= 0).
+func termBuckets(counts map[string]int, size int) []TermBucket {
 	out := make([]TermBucket, 0, len(counts))
 	for v, c := range counts {
 		out = append(out, TermBucket{Value: v, Count: c})
@@ -170,6 +195,111 @@ func (st *Store) Terms(q Query, field string, size int) []TermBucket {
 		out = out[:size]
 	}
 	return out
+}
+
+// PivotBucket is one value of a pivot's grouping field: how many matching
+// documents carry it, and a full terms breakdown of those documents for
+// each requested sub-field, in the order the sub-fields were given.
+type PivotBucket struct {
+	Value string         `json:"value"`
+	Count int            `json:"count"`
+	Sub   [][]TermBucket `json:"sub"`
+}
+
+// pivotTotal is the tallyKey.sub under which a pivot counts a group's own
+// documents; sub-field i counts under sub = i.
+const pivotTotal = -1
+
+// Pivot groups the documents matching q by the value of one field and, in
+// the same walk, breaks each group down by the values of the sub fields:
+// Pivot(q, "rack", "category", "hostname") answers the whole §4.5.2
+// positional view at the cost of one Terms call, where issuing Terms per
+// rack costs 1 + 2×racks of them. Documents without the grouping field
+// are skipped, as Terms skips them; buckets and each breakdown come in
+// Terms order (count descending, then value). Shards merge by summing
+// equal (value) and (value, sub-field, sub-value) counters.
+func (st *Store) Pivot(q Query, by string, sub ...string) []PivotBucket {
+	defer st.observeQuery(st.queryPivot, st.queryStart())
+	type group struct {
+		count int
+		sub   []map[string]int
+	}
+	groups := make(map[string]*group)
+	walked := 0
+	for _, sh := range st.shards {
+		walked += sh.pivot(q, by, sub, func(byVal string, i int, subVal string, c int) {
+			g := groups[byVal]
+			if g == nil {
+				g = &group{sub: make([]map[string]int, len(sub))}
+				for j := range g.sub {
+					g.sub[j] = make(map[string]int)
+				}
+				groups[byVal] = g
+			}
+			if i == pivotTotal {
+				g.count += c
+			} else {
+				g.sub[i][subVal] += c
+			}
+		})
+	}
+	st.queryCands.Observe(float64(walked))
+	out := make([]PivotBucket, 0, len(groups))
+	for v, g := range groups {
+		b := PivotBucket{Value: v, Count: g.count, Sub: make([][]TermBucket, len(sub))}
+		for i, m := range g.sub {
+			b.Sub[i] = termBuckets(m, 0)
+		}
+		out = append(out, b)
+	}
+	sort.Slice(out, func(a, b int) bool {
+		if out[a].Count != out[b].Count {
+			return out[a].Count > out[b].Count
+		}
+		return out[a].Value < out[b].Value
+	})
+	return out
+}
+
+// pivot tallies the shard's matches of q per (group, sub-field, value)
+// span triple, then reports each counter once through emit with its
+// strings resolved. Returns the entries visited.
+func (s *shard) pivot(q Query, by string, sub []string, emit func(byVal string, sub int, subVal string, count int)) int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	byKey, ok := s.keySpan(by)
+	if !ok {
+		return 0
+	}
+	ev := s.bind(q)
+	defer ev.release()
+	// Sub-fields this shard has never stored cannot contribute.
+	type subKey struct {
+		i   int32
+		key span
+	}
+	subKeys := make([]subKey, 0, len(sub))
+	for i, f := range sub {
+		if k, ok := s.keySpan(f); ok {
+			subKeys = append(subKeys, subKey{int32(i), k})
+		}
+	}
+	visited := ev.each(func(off int32, _ *docEnt) {
+		g, ok := s.fieldValue(off, byKey)
+		if !ok {
+			return
+		}
+		ev.tally.add(tallyKey{by: g, sub: pivotTotal})
+		for _, sk := range subKeys {
+			if v, ok := s.fieldValue(off, sk.key); ok {
+				ev.tally.add(tallyKey{by: g, sub: sk.i, v: v})
+			}
+		}
+	})
+	ev.tally.each(func(k tallyKey, c int) {
+		emit(s.arena.view(k.by), int(k.sub), s.arena.view(k.v), c)
+	})
+	return visited
 }
 
 // SortTerms orders term buckets the way Terms returns them: count

@@ -183,40 +183,6 @@ func (s *shard) postAppend(p *postings, off int32) {
 	p.count++
 }
 
-// postIter walks a posting list in insertion (ascending-offset) order. It
-// is the one iterator every read path shares: Search/Count candidates,
-// intersection staging, and the aggregations' candidate-driven scans all
-// consume postings through it.
-type postIter struct {
-	s     *shard
-	chunk *pchunk
-	pos   int32
-	count int32
-}
-
-// postIterate returns an iterator over p. Caller holds a shard lock.
-func (s *shard) postIterate(p *postings) postIter {
-	it := postIter{s: s, count: p.count}
-	if p.count > 0 {
-		it.chunk = s.chunkAt(p.head)
-	}
-	return it
-}
-
-// next returns the next doc offset, or ok=false when exhausted.
-func (it *postIter) next() (int32, bool) {
-	if it.pos >= it.count {
-		return 0, false
-	}
-	slot := it.pos % postChunkLen
-	v := it.chunk.elems[slot]
-	it.pos++
-	if slot == postChunkLen-1 && it.pos < it.count {
-		it.chunk = it.s.chunkAt(it.chunk.next)
-	}
-	return v, true
-}
-
 // appendPostings materializes p into dst (reused scratch), chunk by chunk.
 func (s *shard) appendPostings(dst []int32, p *postings) []int32 {
 	if p == nil || p.count == 0 {
@@ -233,28 +199,6 @@ func (s *shard) appendPostings(dst []int32, p *postings) []int32 {
 		dst = append(dst, c.elems[:n]...)
 		remaining -= n
 		ci = c.next
-	}
-	return dst
-}
-
-// intersectIter intersects an already-materialized ascending candidate
-// list with a posting list, appending matches to dst — the merge step of
-// multi-token Match evaluation, walking the chunked list once without
-// materializing it.
-func (s *shard) intersectIter(acc []int32, p *postings, dst []int32) []int32 {
-	it := s.postIterate(p)
-	v, ok := it.next()
-	for i := 0; i < len(acc) && ok; {
-		switch {
-		case acc[i] < v:
-			i++
-		case acc[i] > v:
-			v, ok = it.next()
-		default:
-			dst = append(dst, v)
-			i++
-			v, ok = it.next()
-		}
 	}
 	return dst
 }

@@ -74,8 +74,6 @@ func toJSONQuery(q Query) (jsonQuery, error) {
 		return jsonQuery{Term: &jsonTerm{Field: t.Field, Value: t.Value}}, nil
 	case Match:
 		return jsonQuery{Match: &jsonMatch{Text: t.Text}}, nil
-	case matchPrepared:
-		return jsonQuery{Match: &jsonMatch{Text: strings.Join(t.want, " ")}}, nil
 	case TimeRange:
 		return jsonQuery{Range: &jsonRange{From: t.From, To: t.To}}, nil
 	case Bool:

@@ -219,19 +219,12 @@ func TestMarshalQueryRoundTrip(t *testing.T) {
 			t.Errorf("round trip changed query:\n  in  %#v\n  out %#v\n  via %s", q, back, raw)
 		}
 	}
-	// nil marshals as match_all; a prepared match survives as its terms.
+	// nil marshals as match_all.
 	raw, err := MarshalQuery(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if back, _ := ParseQuery(raw); !reflect.DeepEqual(back, MatchAll{}) {
 		t.Errorf("nil marshaled to %#v", back)
-	}
-	raw, err = MarshalQuery(prepareQuery(Match{Text: "cpu throttled"}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back, _ := ParseQuery(raw); !reflect.DeepEqual(back, Match{Text: "cpu throttled"}) {
-		t.Errorf("prepared match marshaled to %#v", back)
 	}
 }

@@ -142,3 +142,51 @@ func TestQuickHistogramConservation(t *testing.T) {
 		}
 	}
 }
+
+// Property: a bounded search is a prefix of the unbounded one, in both
+// sort orders, for any size.
+func TestQuickBoundedSearchIsPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 20; trial++ {
+		st := randomStore(rng, 200)
+		q := randomQuery(rng, rng.Intn(3))
+		for _, asc := range []bool{false, true} {
+			all := st.Search(SearchRequest{Query: q, Size: -1, SortAsc: asc})
+			k := 1 + rng.Intn(len(all)+3)
+			top := st.Search(SearchRequest{Query: q, Size: k, SortAsc: asc})
+			if len(top) != min(k, len(all)) {
+				t.Fatalf("query %#v size %d: %d hits of %d matches", q, k, len(top), len(all))
+			}
+			for i := range top {
+				if top[i].Doc.ID != all[i].Doc.ID {
+					t.Fatalf("query %#v size %d asc=%v: hit %d is doc %d, unbounded search has doc %d there",
+						q, k, asc, i, top[i].Doc.ID, all[i].Doc.ID)
+				}
+			}
+		}
+	}
+}
+
+// Property: a pivot's groups are the Terms of its grouping field, and each
+// sub-field breakdown is the Terms of that field within the group.
+func TestQuickPivotConservation(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	st := randomStore(rng, 300)
+	for trial := 0; trial < 20; trial++ {
+		q := randomQuery(rng, rng.Intn(2))
+		groups := st.Terms(q, "hostname", 0)
+		pivot := st.Pivot(q, "hostname", "app")
+		if len(pivot) != len(groups) {
+			t.Fatalf("query %#v: pivot has %d groups, Terms %d", q, len(pivot), len(groups))
+		}
+		for i, g := range pivot {
+			if g.Value != groups[i].Value || g.Count != groups[i].Count {
+				t.Fatalf("query %#v: pivot group %d = %s×%d, Terms %+v", q, i, g.Value, g.Count, groups[i])
+			}
+			within := Bool{Must: []Query{q, Term{Field: "hostname", Value: g.Value}}}
+			if want := st.Terms(within, "app", 0); fmt.Sprint(g.Sub[0]) != fmt.Sprint(want) {
+				t.Fatalf("query %#v group %s: breakdown %v, Terms within the group %v", q, g.Value, g.Sub[0], want)
+			}
+		}
+	}
+}

@@ -2,16 +2,19 @@ package store
 
 import (
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
 
-// Query is the search AST. Implementations: MatchAll, Term, Match, Bool,
-// TimeRange.
+// Query is the search AST: MatchAll, Term, Match, Bool, TimeRange, and
+// nothing else — the unexported method seals the set. The store answers
+// queries through the per-shard evaluator (eval.go), which never builds a
+// Doc to test one.
 type Query interface {
-	// matches evaluates the query against one document (the fallback and
-	// filter path; indexed evaluation happens per shard where possible).
+	// matches evaluates the query against one materialized document. It
+	// defines each node's semantics and is what the differential tests
+	// hold the evaluator to; no store entry point calls it.
 	matches(d *Doc) bool
 }
 
@@ -38,97 +41,13 @@ type Match struct {
 }
 
 func (m Match) matches(d *Doc) bool {
-	// Fallback for Match nodes evaluated outside the store's entry points
-	// (which rewrite them via prepareQuery so the query text is analyzed
-	// once per query, not once per candidate document).
-	return matchPrepared{want: Analyze(m.Text)}.matches(d)
-}
-
-// matchPrepared is the query-time rewrite of Match: Text already
-// analyzed, so per-document evaluation only tokenizes the document.
-type matchPrepared struct {
-	want []string
-}
-
-// tokScratchPool recycles token slices across matchPrepared evaluations.
-// Per-document tokenization runs under shard read locks, possibly from
-// several shard goroutines sharing one prepared query, so the scratch is
-// pooled rather than carried on the query value.
-var tokScratchPool = sync.Pool{New: func() any { s := make([]string, 0, 32); return &s }}
-
-func (m matchPrepared) matches(d *Doc) bool {
-	if len(m.want) == 0 {
-		return true
-	}
-	sc := tokScratchPool.Get().(*[]string)
-	// Tokenize without lowercasing and compare fold-wise: a body token
-	// with uppercase letters (think "CPU") would otherwise force a
-	// strings.ToLower copy per candidate document.
-	toks := analyzeRawInto(d.Body, (*sc)[:0])
-	// Containment via nested scan: syslog bodies tokenize short, so this
-	// beats building a per-document set.
-	ok := true
-	for _, w := range m.want {
-		found := false
-		for _, tok := range toks {
-			if tokenEqualFold(tok, w) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			ok = false
-			break
+	body := Analyze(d.Body)
+	for _, w := range Analyze(m.Text) {
+		if !slices.Contains(body, w) {
+			return false
 		}
 	}
-	*sc = toks[:0]
-	tokScratchPool.Put(sc)
-	return ok
-}
-
-// tokenEqualFold reports whether the raw body token tok analyzes to the
-// already-lowercase query token want, without materializing the lowercase
-// copy: ASCII tokens compare fold-wise in place; a token with any
-// non-ASCII byte defers to lowerToken for exact Unicode behaviour.
-func tokenEqualFold(tok, want string) bool {
-	for i := 0; i < len(tok); i++ {
-		if tok[i] >= 0x80 {
-			return lowerToken(tok) == want
-		}
-	}
-	return equalFold(tok, want)
-}
-
-// prepareQuery rewrites Match nodes (recursively through Bool) into their
-// prepared form. Called once per query at every store entry point.
-func prepareQuery(q Query) Query {
-	switch t := q.(type) {
-	case Match:
-		return matchPrepared{want: Analyze(t.Text)}
-	case Bool:
-		out := Bool{}
-		if len(t.Must) > 0 {
-			out.Must = make([]Query, len(t.Must))
-			for i, c := range t.Must {
-				out.Must[i] = prepareQuery(c)
-			}
-		}
-		if len(t.Should) > 0 {
-			out.Should = make([]Query, len(t.Should))
-			for i, c := range t.Should {
-				out.Should[i] = prepareQuery(c)
-			}
-		}
-		if len(t.MustNot) > 0 {
-			out.MustNot = make([]Query, len(t.MustNot))
-			for i, c := range t.MustNot {
-				out.MustNot[i] = prepareQuery(c)
-			}
-		}
-		return out
-	default:
-		return q
-	}
+	return true
 }
 
 // TimeRange matches documents with From <= Time < To. Zero bounds are
@@ -211,20 +130,53 @@ type SearchRequest struct {
 	SortAsc bool
 }
 
-// Search runs the request across all shards in parallel and merges hits by
-// time.
+// topEnt is a search candidate before it is materialized: the sort key
+// (sec, nsec, id) straight off the shard's ents, plus the offset to copy
+// the document from should it win. id % NumShards names its shard.
+type topEnt struct {
+	sec  int64
+	id   int64
+	nsec int32
+	off  int32
+}
+
+// before reports whether a sorts ahead of b: by time (newest first unless
+// asc), equal instants by ascending id.
+func (a topEnt) before(b topEnt, asc bool) bool {
+	if a.sec != b.sec {
+		return (a.sec < b.sec) == asc
+	}
+	if a.nsec != b.nsec {
+		return (a.nsec < b.nsec) == asc
+	}
+	return a.id < b.id
+}
+
+// Search selects each shard's k best matches by sort key alone, in
+// parallel, and materializes only the k best of those. All shard read
+// locks are held from before the selection until the winners are copied
+// out, so the result is one consistent cut across shards and an offset
+// stays valid until it is used. They are taken in ascending shard order:
+// Search is the only path that holds more than one shard lock, and a
+// waiting writer blocks new readers, so two searches acquiring in
+// different orders could each hold the lock the other's writer waits on.
 func (st *Store) Search(req SearchRequest) []Hit {
 	defer st.observeQuery(st.querySearch, st.queryStart())
-	if req.Query == nil {
-		req.Query = MatchAll{}
-	}
-	req.Query = prepareQuery(req.Query)
 	size := req.Size
 	if size == 0 {
 		size = 10
 	}
 
-	perShard := make([][]Hit, len(st.shards))
+	for _, sh := range st.shards {
+		sh.mu.RLock()
+	}
+	defer func() {
+		for _, sh := range st.shards {
+			sh.mu.RUnlock()
+		}
+	}()
+	perShard := make([][]topEnt, len(st.shards))
+	visited := make([]int, len(st.shards))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for i, sh := range st.shards {
@@ -233,271 +185,113 @@ func (st *Store) Search(req SearchRequest) []Hit {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			perShard[i] = sh.search(req.Query)
+			perShard[i], visited[i] = sh.topK(req.Query, size, req.SortAsc)
 		}(i, sh)
 	}
 	wg.Wait()
 
-	var hits []Hit
-	for _, h := range perShard {
-		hits = append(hits, h...)
+	total, walked := 0, 0
+	for i, t := range perShard {
+		total += len(t)
+		walked += visited[i]
 	}
-	sort.Slice(hits, func(a, b int) bool {
-		ta, tb := hits[a].Doc.Time, hits[b].Doc.Time
-		if !ta.Equal(tb) {
-			if req.SortAsc {
-				return ta.Before(tb)
-			}
-			return tb.Before(ta)
+	st.queryCands.Observe(float64(walked))
+	best := make([]topEnt, 0, total)
+	for _, t := range perShard {
+		best = append(best, t...)
+	}
+	slices.SortFunc(best, func(a, b topEnt) int {
+		if a.before(b, req.SortAsc) {
+			return -1
 		}
-		return hits[a].Doc.ID < hits[b].Doc.ID
+		return 1
 	})
-	if size >= 0 && len(hits) > size {
-		hits = hits[:size]
+	if size >= 0 && len(best) > size {
+		best = best[:size]
 	}
+	if len(best) == 0 {
+		return nil
+	}
+	hits := make([]Hit, len(best))
+	nsh := int64(len(st.shards))
+	for i, t := range best {
+		hits[i].Doc = st.shards[t.id%nsh].docCopy(t.off)
+	}
+	st.materialized.Add(int64(len(hits)))
 	return hits
+}
+
+// topK returns the shard's k best matches of q in no particular order
+// (every match when k < 0) and the number of entries visited. The caller
+// holds the read lock. Selection keeps a k-bounded heap with the worst
+// kept entry at the root, so a broad query costs one key comparison per
+// match and memory for k keys.
+func (s *shard) topK(q Query, k int, asc bool) (h []topEnt, visited int) {
+	ev := s.bind(q)
+	defer ev.release()
+	if k >= 0 {
+		bound := len(s.ents)
+		if !ev.all {
+			bound = len(ev.cands)
+		}
+		h = make([]topEnt, 0, min(k, bound))
+	}
+	visited = ev.each(func(off int32, e *docEnt) {
+		t := topEnt{sec: e.sec, id: e.id, nsec: e.nsec, off: off}
+		switch {
+		case k < 0 || len(h) < k:
+			h = append(h, t)
+			if k >= 0 {
+				// Sift up: a parent is never better than its children.
+				for i := len(h) - 1; i > 0; {
+					p := (i - 1) / 2
+					if !h[p].before(h[i], asc) {
+						break
+					}
+					h[p], h[i] = h[i], h[p]
+					i = p
+				}
+			}
+		case t.before(h[0], asc):
+			h[0] = t
+			for i := 0; ; {
+				worst := i
+				for c := 2*i + 1; c <= 2*i+2 && c < len(h); c++ {
+					if h[worst].before(h[c], asc) {
+						worst = c
+					}
+				}
+				if worst == i {
+					break
+				}
+				h[i], h[worst] = h[worst], h[i]
+				i = worst
+			}
+		}
+	})
+	return h, visited
 }
 
 // CountQuery returns the number of documents matching q.
 func (st *Store) CountQuery(q Query) int {
 	defer st.observeQuery(st.queryCount, st.queryStart())
-	q = prepareQuery(q)
-	n := 0
+	n, walked := 0, 0
 	for _, sh := range st.shards {
-		n += sh.count(q)
+		c, v := sh.count(q)
+		n += c
+		walked += v
 	}
+	st.queryCands.Observe(float64(walked))
 	return n
 }
 
-// candScratch carries the reusable buffers a candidate-driven query
-// evaluation needs: two int32 lists for intersection ping-pong, a list
-// staging slice, and the scratch Doc the scan loop materializes
-// candidates into. The Doc lives inside the pooled struct because its
-// address is passed through the Query interface (q.matches(&d)), which
-// would force a stack-local Doc to escape — one heap alloc per shard per
-// query. Pooled so the steady-state Term and Match paths allocate
-// nothing.
-type candScratch struct {
-	a, b  []int32
-	lists []*postings
-	doc   Doc
-}
-
-var candScratchPool = sync.Pool{New: func() any { return &candScratch{} }}
-
-// maxScratchCands caps the candidate-list capacity a pooled scratch may
-// retain; a one-off query over a huge posting list should not pin its
-// working set in the pool forever.
-const maxScratchCands = 1 << 20
-
-func putCandScratch(sc *candScratch) {
-	if cap(sc.a) > maxScratchCands {
-		sc.a = nil
-	}
-	if cap(sc.b) > maxScratchCands {
-		sc.b = nil
-	}
-	// Drop the arena views the scratch Doc held so a pooled scratch never
-	// pins a compacted-away arena block; the Fields backing array is kept.
-	f := sc.doc.Fields
-	clear(f[:cap(f)])
-	sc.doc = Doc{Fields: f[:0]}
-	candScratchPool.Put(sc)
-}
-
-// count evaluates q on one shard without materializing hits — the
-// allocation-free counterpart of search used by CountQuery.
-func (s *shard) count(q Query) int {
+// count evaluates q on one shard and returns the matches and the entries
+// visited; it allocates nothing.
+func (s *shard) count(q Query) (n, visited int) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	sc := candScratchPool.Get().(*candScratch)
-	n := 0
-	d := &sc.doc
-	if cand, ok := s.candList(q, sc); ok {
-		for _, off := range cand {
-			if s.deleted(off) {
-				continue
-			}
-			s.fillDoc(off, d)
-			if q.matches(d) {
-				n++
-			}
-		}
-	} else {
-		for i := range s.ents {
-			if s.deleted(int32(i)) {
-				continue
-			}
-			s.fillDoc(int32(i), d)
-			if q.matches(d) {
-				n++
-			}
-		}
-	}
-	putCandScratch(sc)
-	return n
-}
-
-// search evaluates q on one shard, using postings where the query shape
-// allows and falling back to a filtered scan otherwise. Candidate checks
-// run against a reused scratch Doc; only actual hits copy out.
-func (s *shard) search(q Query) []Hit {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	sc := candScratchPool.Get().(*candScratch)
-	var hits []Hit
-	d := &sc.doc
-	if cand, ok := s.candList(q, sc); ok {
-		hits = make([]Hit, 0, len(cand))
-		for _, off := range cand {
-			if s.deleted(off) {
-				continue
-			}
-			s.fillDoc(off, d)
-			if q.matches(d) {
-				hits = append(hits, Hit{Doc: s.docCopy(off)})
-			}
-		}
-	} else {
-		for i := range s.ents {
-			if s.deleted(int32(i)) {
-				continue
-			}
-			s.fillDoc(int32(i), d)
-			if q.matches(d) {
-				hits = append(hits, Hit{Doc: s.docCopy(int32(i))})
-			}
-		}
-	}
-	putCandScratch(sc)
-	return hits
-}
-
-// candEstimate returns an upper bound on the candidate count q's index
-// driver would yield, without materializing anything: Bool uses it to
-// pick its most selective Must clause before a single list is staged.
-// Returns -1 when q has no indexable driver.
-func (s *shard) candEstimate(q Query) int {
-	switch t := q.(type) {
-	case Term:
-		if p := s.fieldPostings(t.Field, t.Value); p != nil {
-			return int(p.count)
-		}
-		return 0
-	case Match:
-		return s.matchEstimate(Analyze(t.Text))
-	case matchPrepared:
-		return s.matchEstimate(t.want)
-	case Bool:
-		best := -1
-		for _, m := range t.Must {
-			if e := s.candEstimate(m); e >= 0 && (best < 0 || e < best) {
-				best = e
-			}
-		}
-		return best
-	default:
-		return -1
-	}
-}
-
-// matchEstimate bounds a token conjunction by its rarest token's count;
-// an absent token means zero matches.
-func (s *shard) matchEstimate(toks []string) int {
-	if len(toks) == 0 {
-		return -1
-	}
-	best := -1
-	for _, tok := range toks {
-		p, ok := s.text[tok]
-		if !ok {
-			return 0
-		}
-		if best < 0 || int(p.count) < best {
-			best = int(p.count)
-		}
-	}
-	return best
-}
-
-// candList materializes a superset of matching doc offsets into sc's
-// scratch buffers via the inverted index, when the query has at least one
-// indexable conjunct. ok=false means "scan everything". The returned
-// slice aliases sc and is valid until the next candList call on the same
-// scratch.
-func (s *shard) candList(q Query, sc *candScratch) ([]int32, bool) {
-	switch t := q.(type) {
-	case Term:
-		p := s.fieldPostings(t.Field, t.Value)
-		if p == nil {
-			return nil, true
-		}
-		sc.a = s.appendPostings(sc.a[:0], p)
-		return sc.a, true
-	case Match:
-		return s.matchCandList(Analyze(t.Text), sc)
-	case matchPrepared:
-		return s.matchCandList(t.want, sc)
-	case Bool:
-		// Drive from the most selective indexable Must clause, chosen by
-		// estimate so only one clause is ever materialized (nested Bools
-		// share sc); correctness comes from the matches() re-check.
-		var best Query
-		bestE := -1
-		for _, m := range t.Must {
-			if e := s.candEstimate(m); e >= 0 && (bestE < 0 || e < bestE) {
-				bestE, best = e, m
-			}
-		}
-		if best == nil {
-			return nil, false
-		}
-		return s.candList(best, sc)
-	default:
-		return nil, false
-	}
-}
-
-// matchCandList intersects the body postings of the analyzed tokens,
-// rarest list first: the rarest list is materialized into scratch, then
-// each remaining chunked list is merged against it in place.
-func (s *shard) matchCandList(toks []string, sc *candScratch) ([]int32, bool) {
-	if len(toks) == 0 {
-		return nil, false
-	}
-	if len(toks) == 1 {
-		// Single-token fast path: no list staging, no intersection.
-		p, ok := s.text[toks[0]]
-		if !ok {
-			return nil, true
-		}
-		sc.a = s.appendPostings(sc.a[:0], p)
-		return sc.a, true
-	}
-	sc.lists = sc.lists[:0]
-	for _, tok := range toks {
-		p, ok := s.text[tok]
-		if !ok {
-			return nil, true // a required token is absent: no matches
-		}
-		sc.lists = append(sc.lists, p)
-	}
-	// Insertion sort by count: token lists are few, and sort.Slice would
-	// allocate its closure on every query.
-	for i := 1; i < len(sc.lists); i++ {
-		for j := i; j > 0 && sc.lists[j].count < sc.lists[j-1].count; j-- {
-			sc.lists[j], sc.lists[j-1] = sc.lists[j-1], sc.lists[j]
-		}
-	}
-	acc := s.appendPostings(sc.a[:0], sc.lists[0])
-	sc.a = acc
-	for _, p := range sc.lists[1:] {
-		sc.b = s.intersectIter(acc, p, sc.b[:0])
-		sc.a, sc.b = sc.b, sc.a
-		acc = sc.a
-		if len(acc) == 0 {
-			return nil, true
-		}
-	}
-	return acc, true
+	ev := s.bind(q)
+	defer ev.release()
+	visited = ev.each(func(int32, *docEnt) { n++ })
+	return n, visited
 }

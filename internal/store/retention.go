@@ -86,7 +86,9 @@ func (sh *shard) compactLocked() {
 		// fires on a quiet shard. Reset in place: no rebuild loop, no
 		// fresh maps, no new blocks.
 		sh.ents = sh.ents[:0]
-		sh.fieldSpans = sh.fieldSpans[:0]
+		sh.fEnds = sh.fEnds[:0]
+		sh.fieldIDs = sh.fieldIDs[:0]
+		sh.pairs = sh.pairs[:0]
 		sh.arena = arena{}
 		clear(sh.text)
 		clear(sh.field)
@@ -131,7 +133,9 @@ func (sh *shard) compactLocked() {
 		fresh.indexLocked(d)
 	}
 	sh.ents = fresh.ents
-	sh.fieldSpans = fresh.fieldSpans
+	sh.fEnds = fresh.fEnds
+	sh.fieldIDs = fresh.fieldIDs
+	sh.pairs = fresh.pairs
 	sh.arena = fresh.arena
 	sh.chunkBlocks = fresh.chunkBlocks
 	sh.nChunks = fresh.nChunks

@@ -12,9 +12,11 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 	"unicode"
 
@@ -67,31 +69,6 @@ func AnalyzeInto(s string, out []string) []string {
 	return out
 }
 
-// analyzeRawInto splits s into tokens with AnalyzeInto's boundary rules
-// but leaves case untouched, returning substrings of s. Match evaluation
-// uses it to fold-compare candidate bodies without a ToLower copy per
-// uppercase token.
-func analyzeRawInto(s string, out []string) []string {
-	start := -1
-	flush := func(end int) {
-		if start >= 0 {
-			out = append(out, s[start:end])
-			start = -1
-		}
-	}
-	for i, r := range s {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '.' {
-			if start < 0 {
-				start = i
-			}
-			continue
-		}
-		flush(i)
-	}
-	flush(len(s))
-	return out
-}
-
 // lowerToken lowercases a token, returning it unchanged (no copy) when it
 // is already lowercase ASCII; any uppercase or non-ASCII byte defers to
 // strings.ToLower for exact Unicode behaviour.
@@ -106,22 +83,23 @@ func lowerToken(s string) string {
 }
 
 // docEnt is a stored document's pointer-free representation: the id, the
-// timestamp decomposed into (sec, nsec), the body span, and the range of
-// this doc's entries in the shard's fieldSpans. One shard's corpus is
-// therefore three flat pointer-less arrays (ents, fieldSpans, arena
-// blocks) no matter how many documents it holds — the GC mark phase skips
-// all of it, where the previous []Doc layout put four string headers plus
-// a Fields slice per document on the scan queue.
+// timestamp decomposed into (sec, nsec), and the body span. Its field
+// pairs live in the shard's fieldIDs, delimited by fEnds. One shard's
+// corpus is therefore a handful of flat pointer-less arrays (ents, fEnds,
+// fieldIDs, pairs, arena blocks) no matter how many documents it holds —
+// the GC mark phase skips all of it, where a []Doc layout would put four
+// string headers plus a Fields slice per document on the scan queue.
 type docEnt struct {
 	id   int64
 	sec  int64
 	nsec int32
 	body span
-	fOff uint32
-	fN   uint32
 }
 
-// fieldPair is one stored field: interned key and value spans.
+// fieldPair is one distinct field pair a shard has stored: interned key and
+// value spans. Documents refer to pairs by index (shard.fieldIDs), so a
+// document's metadata costs four bytes per field and reading one field of
+// many documents walks a table that stays in cache.
 type fieldPair struct {
 	k span
 	v span
@@ -136,28 +114,42 @@ type bodyEntry struct {
 	lists []*postings
 }
 
-// fieldEntry memoizes one distinct field pair: the interned key and value
-// spans plus the pair's resolved posting list. A memo hit turns addField's
+// fieldEntry memoizes one distinct field pair: its index in shard.pairs
+// plus the pair's resolved posting list. A memo hit turns addField's
 // steady state — three string-map probes (key intern, value intern,
 // field-postings lookup) per field per document — into a single probe
 // followed by two in-place appends.
 type fieldEntry struct {
-	k, v span
+	id   uint32
 	post *postings
 }
 
 // shard is one index partition. All access goes through its lock.
 type shard struct {
 	mu sync.RWMutex
-	// ents holds the stored documents; fieldSpans their field pairs,
-	// contiguous per document. Both are pointer-free.
-	ents       []docEnt
-	fieldSpans []fieldPair
+	// nextID is the id the next document indexed here gets; it starts at
+	// the shard's index and advances by stride (the shard count), so
+	// id % stride names the shard. Ids are handed out under mu, in append
+	// order: ents is sorted by id by construction, which is what offByID's
+	// binary search relies on. Compact keeps the sequence.
+	nextID int64
+	stride int64
+	// ents holds the stored documents; fieldIDs their field pairs as
+	// indexes into pairs, contiguous per document, document off's ending
+	// at fEnds[off] (and starting where off-1's end). fEnds is a column of
+	// its own so that reading one field of scattered documents touches
+	// two small dense arrays and never the 32-byte ents rows. All four are
+	// pointer-free. A pair re-memoized after a fieldMemo reset gets a
+	// second index, so equal spans — not equal indexes — mean equal pairs.
+	ents     []docEnt
+	fEnds    []uint32
+	fieldIDs []uint32
+	pairs    []fieldPair
 	// arena owns every retained byte: bodies, field keys and values.
 	arena arena
 	// body postings: token -> posting list
 	text map[string]*postings
-	// field postings: "field\x00lower(value)" -> posting list
+	// field postings: appendFieldKey(field, value) -> posting list
 	field map[string]*postings
 	// bodyMemo caches each distinct body's interned span and resolved
 	// posting lists, keyed by the arena-backed body view. Real syslog
@@ -197,10 +189,8 @@ type shard struct {
 	memoMisses int64
 }
 
-// offByID locates a document's offset by binary search: ids are assigned
-// monotonically and documents append in id order, so each shard's ents
-// are sorted by ID. Read-path searches replace the per-doc byID map
-// assignment that was pure overhead on the index hot path.
+// offByID locates a document's offset by binary search over ents, which is
+// sorted by id (see shard.nextID).
 func (s *shard) offByID(id int64) (int, bool) {
 	lo, hi := 0, len(s.ents)
 	for lo < hi {
@@ -231,14 +221,25 @@ func (s *shard) tombstone(off int32) {
 	s.dead[off] = struct{}{}
 }
 
-func newShard() *shard {
+func newShard(idx, stride int64) *shard {
 	return &shard{
+		nextID:    idx,
+		stride:    stride,
 		text:      make(map[string]*postings),
 		field:     make(map[string]*postings),
 		bodyMemo:  make(map[string]bodyEntry),
 		intern:    make(map[string]span),
 		fieldMemo: make(map[string]fieldEntry),
 	}
+}
+
+// docFields returns the pair indexes of the document at off.
+func (s *shard) docFields(off int32) []uint32 {
+	start := uint32(0)
+	if off > 0 {
+		start = s.fEnds[off-1]
+	}
+	return s.fieldIDs[start:s.fEnds[off]]
 }
 
 // fillDoc materializes the document at off into d, reusing d.Fields'
@@ -252,7 +253,8 @@ func (s *shard) fillDoc(off int32, d *Doc) {
 	d.Time = time.Unix(e.sec, int64(e.nsec)).UTC()
 	d.Body = s.arena.view(e.body)
 	fs := d.Fields[:0]
-	for _, fp := range s.fieldSpans[e.fOff : e.fOff+uint32(e.fN)] {
+	for _, id := range s.docFields(off) {
+		fp := s.pairs[id]
 		fs = append(fs, Field{K: s.arena.view(fp.k), V: s.arena.view(fp.v)})
 	}
 	d.Fields = fs
@@ -263,10 +265,9 @@ func (s *shard) fillDoc(off int32, d *Doc) {
 // zero-copy arena views (immutable, alive as long as anything references
 // them — each view retains its block).
 func (s *shard) docCopy(off int32) Doc {
-	e := &s.ents[off]
 	var d Doc
-	if e.fN > 0 {
-		d.Fields = make(Fields, 0, e.fN)
+	if n := len(s.docFields(off)); n > 0 {
+		d.Fields = make(Fields, 0, n)
 	}
 	s.fillDoc(off, &d)
 	return d
@@ -279,20 +280,16 @@ func (s *shard) entBefore(off int32, cutSec int64, cutNsec int32) bool {
 	return e.sec < cutSec || (e.sec == cutSec && e.nsec < cutNsec)
 }
 
-// appendFieldKey appends the field-postings key "field\x00lower(value)"
-// to dst and returns it. ASCII values are lowercased byte-wise in place;
-// a value with any non-ASCII byte defers to strings.ToLower for exact
-// Unicode behaviour. Unlike the string concatenation it replaces, the
-// common case allocates nothing: index inserts build into the shard's
-// keyScratch, Term lookups into a stack buffer.
+// appendFieldKey appends the field-postings key — len(field), field, then
+// value with ASCII letters lowercased — to dst and returns it. The length
+// prefix keeps the key unambiguous whatever bytes field and value hold,
+// and the fold is exactly equalFold's, so two pairs share a posting list
+// precisely when Term treats them as equal. It allocates nothing: index
+// inserts build into the shard's lowScratch, Term lookups into a stack
+// buffer.
 func appendFieldKey(dst []byte, field, value string) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(field)))
 	dst = append(dst, field...)
-	dst = append(dst, 0)
-	for i := 0; i < len(value); i++ {
-		if value[i] >= 0x80 {
-			return append(dst, strings.ToLower(value)...)
-		}
-	}
 	for i := 0; i < len(value); i++ {
 		c := value[i]
 		if 'A' <= c && c <= 'Z' {
@@ -303,23 +300,25 @@ func appendFieldKey(dst []byte, field, value string) []byte {
 	return dst
 }
 
-func (s *shard) index(d Doc) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// index assigns d the shard's next id and adds it; the caller holds the
+// write lock.
+func (s *shard) index(d Doc) int64 {
+	d.ID = s.nextID
+	s.nextID += s.stride
 	s.indexLocked(d)
+	return d.ID
 }
 
-// indexLocked adds a document, copying every retained byte into the
-// shard's arena; the caller holds the write lock (or owns the shard
-// exclusively, as Compact does) and keeps ownership of d's strings.
+// indexLocked adds a document under the id it carries, copying every
+// retained byte into the shard's arena; the caller holds the write lock
+// (or owns the shard exclusively, as Compact does) and keeps ownership of
+// d's strings.
 func (s *shard) indexLocked(d Doc) {
 	off := int32(len(s.ents))
 	e := docEnt{
 		id:   d.ID,
 		sec:  d.Time.Unix(),
 		nsec: int32(d.Time.Nanosecond()),
-		fOff: uint32(len(s.fieldSpans)),
-		fN:   uint32(len(d.Fields)),
 	}
 	if be, ok := s.bodyMemo[d.Body]; ok {
 		// Memoized body: reuse the interned text and the already-resolved
@@ -333,10 +332,12 @@ func (s *shard) indexLocked(d Doc) {
 		s.memoMisses++
 		e.body = s.indexBody(d.Body, off)
 	}
+	docStart := uint32(len(s.fieldIDs))
 	for _, fv := range d.Fields {
-		s.addField(fv.K, fv.V, off)
+		s.addField(fv.K, fv.V, off, docStart)
 	}
 	s.ents = append(s.ents, e)
+	s.fEnds = append(s.fEnds, uint32(len(s.fieldIDs)))
 }
 
 // indexBody copies a body the shard has not memoized into the arena,
@@ -414,43 +415,57 @@ func (s *shard) internStr(v string) span {
 	return sp
 }
 
-// appendRawFieldKey appends the exact-case memo key "field\x00value" to
-// dst — two memmoves, no case folding, because the memo keys on the bytes
-// as the caller sent them (two casings of one value memoize separately but
+// appendRawFieldKey appends the exact-case memo key — len(field), field,
+// value — to dst: no case folding, because the memo keys on the bytes as
+// the caller sent them (two casings of one value memoize separately but
 // share the fold-insensitive posting list).
 func appendRawFieldKey(dst []byte, field, value string) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(field)))
 	dst = append(dst, field...)
-	dst = append(dst, 0)
 	return append(dst, value...)
 }
 
-// addField records the fieldPair and appends off to the field=value
-// postings. The steady state — a pair the shard has already stored, i.e.
-// every field of every canonical doc — is one fieldMemo probe and two
-// in-place appends, allocation-free. Only a brand-new pair runs the full
-// intern + fold + postings-map path, and both map keys it inserts are
-// arena views, so even the miss path adds no standalone heap strings.
-func (s *shard) addField(f, v string, off int32) {
+// addField records the pair's index and appends off to the field=value
+// postings; docStart is where this document's pairs begin in fieldIDs.
+// The steady state — a pair the shard has already stored, i.e. every field
+// of every canonical doc — is one fieldMemo probe and two in-place
+// appends, allocation-free. Only a brand-new pair runs the full intern +
+// fold + postings-map path, and both map keys it inserts are arena views,
+// so even the miss path adds no standalone heap strings.
+//
+// A pair whose key the document already carries is stored (Get returns the
+// document as it was sent) but not indexed: Fields.Get and Term see only
+// the first pair of a key. That, with appendFieldKey's fold, makes a field
+// posting list exactly the set of documents its Term matches — offsets
+// ascending, no duplicates — so the read path never re-checks a Term
+// against the stored pairs.
+func (s *shard) addField(f, v string, off int32, docStart uint32) {
 	s.keyScratch = appendRawFieldKey(s.keyScratch[:0], f, v)
-	if fe, ok := s.fieldMemo[string(s.keyScratch)]; ok {
-		s.fieldSpans = append(s.fieldSpans, fieldPair{k: fe.k, v: fe.v})
-		s.postAppend(fe.post, off)
-		return
-	}
-	fe := fieldEntry{k: s.internStr(f), v: s.internStr(v)}
-	s.lowScratch = appendFieldKey(s.lowScratch[:0], f, v)
-	p, ok := s.field[string(s.lowScratch)]
+	fe, ok := s.fieldMemo[string(s.keyScratch)]
 	if !ok {
-		p = s.newPostings()
-		s.field[s.arena.view(s.arena.copyBytes(s.lowScratch))] = p
+		fe.id = uint32(len(s.pairs))
+		s.pairs = append(s.pairs, fieldPair{k: s.internStr(f), v: s.internStr(v)})
+		s.lowScratch = appendFieldKey(s.lowScratch[:0], f, v)
+		if fe.post, ok = s.field[string(s.lowScratch)]; !ok {
+			fe.post = s.newPostings()
+			s.field[s.arena.view(s.arena.copyBytes(s.lowScratch))] = fe.post
+		}
+		if len(s.fieldMemo) >= maxBodyMemo {
+			clear(s.fieldMemo)
+		}
+		s.fieldMemo[s.arena.view(s.arena.copyBytes(s.keyScratch))] = fe
 	}
-	fe.post = p
-	s.postAppend(p, off)
-	s.fieldSpans = append(s.fieldSpans, fieldPair{k: fe.k, v: fe.v})
-	if len(s.fieldMemo) >= maxBodyMemo {
-		clear(s.fieldMemo)
+	key, shadowed := s.pairs[fe.id].k, false
+	for _, id := range s.fieldIDs[docStart:] {
+		if s.pairs[id].k == key {
+			shadowed = true
+			break
+		}
 	}
-	s.fieldMemo[s.arena.view(s.arena.copyBytes(s.keyScratch))] = fe
+	s.fieldIDs = append(s.fieldIDs, fe.id)
+	if !shadowed {
+		s.postAppend(fe.post, off)
+	}
 }
 
 // fieldPostings returns the posting list for field=value, building the
@@ -473,8 +488,9 @@ const maxBodyMemo = 4096
 // Store is the sharded index.
 type Store struct {
 	shards []*shard
-	mu     sync.Mutex
-	nextID int64
+	// cursor deals documents to shards round-robin. It only routes; ids
+	// come from the shard a document lands on (shard.nextID).
+	cursor atomic.Uint64
 
 	// Observability (see Instrument). All fields are nil until a
 	// registry is attached; obs metrics no-op on nil, and latency timing
@@ -487,8 +503,15 @@ type Store struct {
 	queryCount    *obs.Counter
 	queryHist     *obs.Counter
 	queryTerms    *obs.Counter
+	queryPivot    *obs.Counter
 	queryLat      *obs.Histogram
+	queryCands    *obs.Histogram
+	materialized  *obs.Counter
 }
+
+// candidateBuckets spans one entry to a 16M-entry store in powers of four.
+var candidateBuckets = []float64{1, 4, 16, 64, 256, 1 << 10, 1 << 12, 1 << 14,
+	1 << 16, 1 << 18, 1 << 20, 1 << 22, 1 << 24}
 
 // Instrument publishes the store's metrics — index/query counters and
 // latency histograms, plus docs and memory gauges — into r. Call it once,
@@ -512,8 +535,15 @@ func (st *Store) Instrument(r *obs.Registry) {
 		"queries served, by operation")
 	st.queryTerms = r.Counter(`store_query_total{op="terms"}`,
 		"queries served, by operation")
+	st.queryPivot = r.Counter(`store_query_total{op="pivot"}`,
+		"queries served, by operation")
 	st.queryLat = r.Histogram("store_query_seconds",
 		"query latency across all operations", obs.LatencyBuckets)
+	st.queryCands = r.Histogram("store_query_candidates",
+		"index entries visited per query, summed over shards, across all operations",
+		candidateBuckets)
+	st.materialized = r.Counter("store_docs_materialized_total",
+		"documents copied out of the arenas for Search hits and Get")
 	r.GaugeFunc("store_docs", "live documents in the index",
 		func() int64 { return int64(st.Count()) })
 	r.GaugeFunc("store_arena_bytes", "bytes reserved by the shard string arenas",
@@ -551,7 +581,7 @@ func New(nShards int) *Store {
 	}
 	st := &Store{shards: make([]*shard, nShards)}
 	for i := range st.shards {
-		st.shards[i] = newShard()
+		st.shards[i] = newShard(int64(i), int64(nShards))
 	}
 	return st
 }
@@ -559,20 +589,19 @@ func New(nShards int) *Store {
 // NumShards returns the shard count.
 func (st *Store) NumShards() int { return len(st.shards) }
 
-// Index stores a document and returns its assigned id. Documents are
-// routed to shards round-robin by id, so time ranges spread evenly. The
+// Index stores a document and returns its assigned id. Documents are dealt
+// to shards round-robin, so time ranges spread evenly, and the shard
+// assigns the id under its own lock (id % NumShards names the shard). The
 // caller keeps ownership of d's strings.
 func (st *Store) Index(d Doc) int64 {
 	var start time.Time
 	if st.indexLat != nil {
 		start = time.Now()
 	}
-	st.mu.Lock()
-	id := st.nextID
-	st.nextID++
-	st.mu.Unlock()
-	d.ID = id
-	st.shards[id%int64(len(st.shards))].index(d)
+	sh := st.shards[(st.cursor.Add(1)-1)%uint64(len(st.shards))]
+	sh.mu.Lock()
+	id := sh.index(d)
+	sh.mu.Unlock()
 	st.indexTotal.Inc()
 	if st.indexLat != nil {
 		st.indexLat.ObserveDuration(time.Since(start))
@@ -580,12 +609,13 @@ func (st *Store) Index(d Doc) int64 {
 	return id
 }
 
-// IndexBatch stores a batch of documents, assigning consecutive ids
-// (written into the caller's slice: docs[i].ID = first + i), and returns
-// the first id (-1 for an empty batch). One id-range reservation replaces
-// len(docs) mutex acquisitions and each shard's write lock is taken once
-// per batch instead of once per document, so a flushed pipeline batch
-// reaches the postings with a handful of lock operations total.
+// IndexBatch stores a batch of documents, writes each assigned id into the
+// caller's slice (docs[i].ID) and returns docs[0]'s (-1 for an empty
+// batch). Ids are dense across the store; a single writer sees them
+// consecutive within a batch, concurrent writers may interleave. One
+// cursor reservation routes the whole batch and each shard's write lock is
+// taken once per batch instead of once per document, so a flushed pipeline
+// batch reaches the postings with a handful of lock operations total.
 //
 // The store copies everything it retains, so when IndexBatch returns the
 // caller may recycle the docs, their Fields slices, and the pooled
@@ -598,26 +628,21 @@ func (st *Store) IndexBatch(docs []Doc) (firstID int64) {
 	if st.indexBatchLat != nil {
 		start = time.Now()
 	}
-	st.mu.Lock()
-	firstID = st.nextID
-	st.nextID += int64(len(docs))
-	st.mu.Unlock()
-	for i := range docs {
-		docs[i].ID = firstID + int64(i)
-	}
-	nsh := int64(len(st.shards))
-	if int64(len(docs)) >= parallelBatchMin*nsh && nsh > 1 {
-		st.indexParallel(docs, firstID, nsh)
+	n := uint64(len(docs))
+	nsh := uint64(len(st.shards))
+	base := st.cursor.Add(n) - n
+	if n >= parallelBatchMin*nsh && nsh > 1 {
+		st.indexParallel(docs, base)
 	} else {
-		for si := int64(0); si < nsh && si < int64(len(docs)); si++ {
-			st.indexStripe(docs, firstID, si, nsh)
+		for si := uint64(0); si < nsh && si < n; si++ {
+			st.indexStripe(docs, base, si)
 		}
 	}
 	st.indexTotal.Add(int64(len(docs)))
 	if st.indexBatchLat != nil {
 		st.indexBatchLat.ObserveDuration(time.Since(start))
 	}
-	return firstID
+	return docs[0].ID
 }
 
 // parallelBatchMin is the per-shard stripe size (docs per shard) at which
@@ -627,31 +652,31 @@ const parallelBatchMin = 8
 
 // indexParallel indexes the batch's shard stripes concurrently. Stripes
 // share nothing — each touches exactly one shard under that shard's own
-// lock — and per-shard doc order (ascending id) is preserved because one
-// goroutine owns the whole stripe. It lives in its own function (not
-// inline in IndexBatch) so the WaitGroup and goroutine closures, which
-// escape, are only allocated when a batch is actually large enough to fan
-// out; small flushes stay on IndexBatch's serial, allocation-free path.
-func (st *Store) indexParallel(docs []Doc, firstID, nsh int64) {
+// lock and writes only its own docs' IDs. It lives in its own function
+// (not inline in IndexBatch) so the WaitGroup and goroutine closures,
+// which escape, are only allocated when a batch is actually large enough
+// to fan out; small flushes stay on IndexBatch's serial, allocation-free
+// path.
+func (st *Store) indexParallel(docs []Doc, base uint64) {
 	var wg sync.WaitGroup
-	for si := int64(0); si < nsh; si++ {
+	for si := range st.shards {
 		wg.Add(1)
-		go func(si int64) {
+		go func(si uint64) {
 			defer wg.Done()
-			st.indexStripe(docs, firstID, si, nsh)
-		}(si)
+			st.indexStripe(docs, base, si)
+		}(uint64(si))
 	}
 	wg.Wait()
 }
 
-// indexStripe indexes every doc in the batch that routes to shard
-// (firstID+si) % nsh — doc i routes to shard (firstID+i) % nsh, matching
-// Index, so si is the smallest doc index landing on this shard.
-func (st *Store) indexStripe(docs []Doc, firstID, si, nsh int64) {
-	sh := st.shards[(firstID+si)%nsh]
+// indexStripe indexes docs[si], docs[si+nsh], ... — doc i of a batch routes
+// to shard (base+i) % nsh, so a stripe is exactly one shard's share.
+func (st *Store) indexStripe(docs []Doc, base, si uint64) {
+	nsh := uint64(len(st.shards))
+	sh := st.shards[(base+si)%nsh]
 	cnt := 0
 	nf := 0
-	for i := si; i < int64(len(docs)); i += nsh {
+	for i := si; i < uint64(len(docs)); i += nsh {
 		cnt++
 		nf += len(docs[i].Fields)
 	}
@@ -662,14 +687,17 @@ func (st *Store) indexStripe(docs []Doc, firstID, si, nsh int64) {
 		grown := make([]docEnt, len(sh.ents), need+need/4)
 		copy(grown, sh.ents)
 		sh.ents = grown
+		ends := make([]uint32, len(sh.fEnds), need+need/4)
+		copy(ends, sh.fEnds)
+		sh.fEnds = ends
 	}
-	if need := len(sh.fieldSpans) + nf; need > cap(sh.fieldSpans) {
-		grown := make([]fieldPair, len(sh.fieldSpans), need+need/4)
-		copy(grown, sh.fieldSpans)
-		sh.fieldSpans = grown
+	if need := len(sh.fieldIDs) + nf; need > cap(sh.fieldIDs) {
+		grown := make([]uint32, len(sh.fieldIDs), need+need/4)
+		copy(grown, sh.fieldIDs)
+		sh.fieldIDs = grown
 	}
-	for i := si; i < int64(len(docs)); i += nsh {
-		sh.indexLocked(docs[i])
+	for i := si; i < uint64(len(docs)); i += nsh {
+		docs[i].ID = sh.index(docs[i])
 	}
 	sh.mu.Unlock()
 }
@@ -686,6 +714,7 @@ func (st *Store) Get(id int64) (Doc, bool) {
 	if !ok || sh.deleted(int32(off)) {
 		return Doc{}, false
 	}
+	st.materialized.Inc()
 	return sh.docCopy(int32(off)), true
 }
 

@@ -269,37 +269,6 @@ func BenchmarkSearchMatch(b *testing.B) {
 	}
 }
 
-// BenchmarkMatchEvaluation isolates the S-fix to Match.matches: the
-// "naive" case re-analyzes the query text for every candidate document
-// (the old behaviour, still reachable via direct matches calls), while
-// "prepared" analyzes once per query as every store entry point now does.
-func BenchmarkMatchEvaluation(b *testing.B) {
-	docs := make([]Doc, 512)
-	for i := range docs {
-		docs[i] = doc(time.Duration(i)*time.Second, fmt.Sprintf("cn%03d", i%128),
-			"kernel", fmt.Sprintf("CPU %d temperature above threshold event %d", i%64, i))
-	}
-	q := Match{Text: "Temperature Above Threshold"}
-	b.Run("naive", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for j := range docs {
-				q.matches(&docs[j])
-			}
-		}
-	})
-	b.Run("prepared", func(b *testing.B) {
-		p := prepareQuery(q)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := range docs {
-				p.matches(&docs[j])
-			}
-		}
-	})
-}
-
 // BenchmarkAnalyzeInto contrasts the allocating Analyze with the
 // scratch-reusing AnalyzeInto the indexing path now uses.
 func BenchmarkAnalyzeInto(b *testing.B) {
