@@ -10,27 +10,16 @@ package hetsyslog_test
 // (196393 = the paper's full Table 2).
 
 import (
-	"context"
-	"fmt"
-	"net"
 	"os"
-	"path/filepath"
-	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"hetsyslog/internal/collector"
 	"hetsyslog/internal/core"
 	"hetsyslog/internal/experiments"
 	"hetsyslog/internal/llm"
 	"hetsyslog/internal/loggen"
-	"hetsyslog/internal/obs"
-	"hetsyslog/internal/resilience"
-	"hetsyslog/internal/store"
-	"hetsyslog/internal/syslog"
 	"hetsyslog/internal/tfidf"
 )
 
@@ -227,62 +216,6 @@ func serviceStream(b *testing.B, n int) (*core.TextClassifier, []collector.Recor
 	return tc, recs
 }
 
-// zipfStream pre-generates a Zipf-repetitive record stream: n records
-// drawn from `distinct` base messages with the heavy-headed repetition of
-// real syslog traffic (§4.4.1). This is the workload the classify cache
-// is built for.
-func zipfStream(b *testing.B, n, distinct int) []collector.Record {
-	b.Helper()
-	g := loggen.NewGenerator(29)
-	exs := g.ZipfExamples(n, distinct, 1.2)
-	recs := make([]collector.Record, n)
-	for i, ex := range exs {
-		recs[i] = collector.Record{Tag: "syslog", Time: ex.Time, Msg: ex.Message()}
-	}
-	return recs
-}
-
-// BenchmarkServiceThroughput measures the classification hot path —
-// core.Service.Write over a pre-generated batch — across worker-pool
-// widths and two workloads: "uniform" (every message distinct, the
-// worst case for the cache and the historical baseline) and "zipf"
-// (realistic heavy repetition), the latter with the classify cache off
-// and on. The recs/s metric is the number that must keep up with the
-// cluster's >1M msgs/hour ingest rate; the zipf cache=on/off pair is the
-// cache's headline speedup.
-func BenchmarkServiceThroughput(b *testing.B) {
-	const batch = 2048
-	tc, uniform := serviceStream(b, batch)
-	zipf := zipfStream(b, batch, 256)
-	for _, w := range []struct {
-		name string
-		recs []collector.Record
-	}{{"uniform", uniform}, {"zipf", zipf}} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			for _, cached := range []bool{false, true} {
-				if cached && w.name == "uniform" {
-					continue // the cache targets repetition; skip the no-op combo
-				}
-				name := fmt.Sprintf("%s/workers=%d/cache=%v", w.name, workers, cached)
-				b.Run(name, func(b *testing.B) {
-					svc := &core.Service{Classifier: tc, Workers: workers}
-					if cached {
-						svc.Cache = core.NewClassifyCache(0, 0)
-					}
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if err := svc.Write(context.Background(), w.recs); err != nil {
-							b.Fatal(err)
-						}
-					}
-					b.ReportMetric(float64(b.N)*batch/b.Elapsed().Seconds(), "recs/s")
-				})
-			}
-		}
-	}
-}
-
 // BenchmarkServiceCacheHit measures a raw-level cache hit — the
 // steady-state cost of classifying a repeated message. Run with -benchmem:
 // the contract is 0 allocs/op (enforced by TestCachedClassifyZeroAllocs).
@@ -325,297 +258,6 @@ func BenchmarkVectorizeAllocs(b *testing.B) {
 			tc.Vectorizer.TransformInto(tokens, &sc)
 		}
 	})
-}
-
-// BenchmarkServiceThroughputWithStore is the same sweep with store
-// indexing in the loop, showing how much of the parallel speedup
-// survives contention on the sharded index locks.
-func BenchmarkServiceThroughputWithStore(b *testing.B) {
-	const batch = 2048
-	tc, recs := serviceStream(b, batch)
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			st := store.New(8)
-			svc := &core.Service{Classifier: tc, Store: st, Workers: workers}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := svc.Write(context.Background(), recs); err != nil {
-					b.Fatal(err)
-				}
-				// Keep the store bounded off the clock, as retention would:
-				// otherwise long -benchtime runs measure GC over an
-				// ever-growing heap instead of the indexing path.
-				if st.Count() >= 16*batch {
-					b.StopTimer()
-					st.DeleteBefore(time.Unix(1<<40, 0))
-					st.Compact()
-					b.StartTimer()
-				}
-			}
-			b.ReportMetric(float64(b.N)*batch/b.Elapsed().Seconds(), "recs/s")
-		})
-	}
-}
-
-// BenchmarkPipelineFlushWorkers pushes a fixed stream through the full
-// collector pipeline into the classifying service, comparing one flusher
-// against a sharded flusher pool (batches in flight concurrently).
-func BenchmarkPipelineFlushWorkers(b *testing.B) {
-	const n = 4096
-	tc, recs := serviceStream(b, n)
-	for _, flushers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("flushers=%d", flushers), func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				svc := &core.Service{Classifier: tc, Workers: 2}
-				ch := make(chan collector.Record, 256)
-				p := &collector.Pipeline{
-					Source:       &collector.ChannelSource{Ch: ch},
-					Sink:         svc,
-					BatchSize:    128,
-					FlushWorkers: flushers,
-				}
-				done := make(chan error, 1)
-				go func() { done <- p.Run(context.Background()) }()
-				for _, r := range recs {
-					ch <- r
-				}
-				close(ch)
-				if err := <-done; err != nil {
-					b.Fatal(err)
-				}
-				if got, _ := svc.Counts(); got != n {
-					b.Fatalf("classified = %d, want %d", got, n)
-				}
-			}
-			b.ReportMetric(float64(b.N)*n/b.Elapsed().Seconds(), "recs/s")
-		})
-	}
-}
-
-// signalSink wraps the real sink with a completion notification so the
-// end-to-end bench can wait for an exact flushed-record count instead of
-// polling Counts() in a sleep loop (the sleeps dominated the old
-// measurement and hid the actual pipeline latency).
-type signalSink struct {
-	inner collector.Sink
-	mu    sync.Mutex
-	total int64
-	want  int64
-	ch    chan struct{}
-}
-
-func (s *signalSink) Write(ctx context.Context, batch []collector.Record) error {
-	if err := s.inner.Write(ctx, batch); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.total += int64(len(batch))
-	if s.ch != nil && s.total >= s.want {
-		close(s.ch)
-		s.ch = nil
-	}
-	s.mu.Unlock()
-	return nil
-}
-
-// expect returns a channel closed once the cumulative flushed-record
-// count reaches target. One waiter at a time (the bench loop).
-func (s *signalSink) expect(target int64) <-chan struct{} {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ch := make(chan struct{})
-	if s.total >= target {
-		close(ch)
-		return ch
-	}
-	s.want, s.ch = target, ch
-	return ch
-}
-
-// reportStages prints the per-stage latency attribution the obs registry
-// collected during the run — the profile that pins the socket→store gap
-// to a stage instead of guessing. Shown with -v.
-func reportStages(b *testing.B, reg *obs.Registry, records int64, wall time.Duration) {
-	if !testing.Verbose() {
-		return
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "per-stage attribution over %d records (wall %v):\n", records, wall.Round(time.Millisecond))
-	for _, st := range []struct{ label, metric string }{
-		{"ingest (read-loop batch)", "syslog_ingest_batch_seconds"},
-		{"flush (pipeline→sink)", "pipeline_flush_seconds"},
-		{"classify (per record)", "service_classify_seconds"},
-		{"index (store batch)", "store_index_batch_seconds"},
-	} {
-		h := reg.Histogram(st.metric, "", obs.LatencyBuckets)
-		if h.Count() == 0 {
-			continue
-		}
-		fmt.Fprintf(&sb, "  %-26s %9d obs  mean=%-12v p99=%-12v busy=%5.1f%%\n",
-			st.label, h.Count(),
-			time.Duration(h.Mean()*float64(time.Second)).Round(time.Nanosecond),
-			time.Duration(h.Quantile(0.99)*float64(time.Second)).Round(time.Nanosecond),
-			100*h.Sum()/wall.Seconds())
-	}
-	b.Log("\n" + sb.String())
-}
-
-// BenchmarkIngestEndToEnd measures the whole ingest fast path at once:
-// loopback TCP socket -> octet-counted framing -> byte parsers -> pooled
-// messages -> batched pipeline handoff -> classification -> batched store
-// indexing. The recs/s metric is the end-to-end number to compare against
-// the cluster's >1M msgs/hour rate; BenchmarkIngestParse and
-// BenchmarkServerIngestTCP in internal/syslog isolate the stages, and -v
-// prints the per-stage latency attribution from the obs registry.
-//
-// Two workloads: "uniform/cache=off" (every message distinct — the
-// classify cache's worst case and the historical baseline) and
-// "zipf/cache=on" (heavy-headed repetition with the cache enabled — the
-// deployed cmd/collector default against realistic syslog traffic).
-func BenchmarkIngestEndToEnd(b *testing.B) {
-	const n = 4096
-	tc, uniform := serviceStream(b, n)
-	zipf := zipfStream(b, n, 256)
-	for _, w := range []struct {
-		name   string
-		recs   []collector.Record
-		cached bool
-	}{
-		{"uniform/cache=off", uniform, false},
-		{"zipf/cache=on", zipf, true},
-	} {
-		b.Run(w.name, func(b *testing.B) {
-			var wireBuf strings.Builder
-			for _, r := range w.recs {
-				wire := syslog.FormatRFC5424(r.Msg)
-				fmt.Fprintf(&wireBuf, "%d %s", len(wire), wire)
-			}
-			payload := []byte(wireBuf.String())
-
-			// Everything below runs once: service, listener, store and the
-			// TCP connection live across iterations, so the timed region
-			// measures the pipeline, not its construction and teardown.
-			reg := obs.NewRegistry()
-			st := store.New(8)
-			st.Instrument(reg)
-			svc := &core.Service{Classifier: tc, Store: st, Metrics: reg}
-			if w.cached {
-				svc.Cache = core.NewClassifyCache(0, 0)
-			}
-			sink := &signalSink{inner: svc}
-			src := collector.NewSyslogSource("", "127.0.0.1:0")
-			src.Metrics = reg
-			p := &collector.Pipeline{
-				Source: src, Sink: sink,
-				BatchSize: 128, FlushInterval: time.Millisecond,
-				Metrics: reg,
-				// The deployed wiring: the store copies into arenas and every
-				// other retention point clones, so leased listener buffers go
-				// straight back to the parse pool after each flush.
-				Release: func(r collector.Record) { syslog.Recycle(r.Msg) },
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			done := make(chan error, 1)
-			go func() { done <- p.Run(ctx) }()
-			<-src.Ready()
-			conn, err := net.Dial("tcp", src.BoundTCP)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer conn.Close()
-
-			var msBefore runtime.MemStats
-			runtime.ReadMemStats(&msBefore)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				arrived := sink.expect(int64(i+1) * n)
-				if _, err := conn.Write(payload); err != nil {
-					b.Fatal(err)
-				}
-				<-arrived
-				// Bound the live store between iterations, off the clock: a
-				// deployed store runs under retention, and without a bound
-				// b.N iterations grow the heap until the bench measures GC
-				// mark time instead of the ingest path.
-				if st.Count() >= 16*n {
-					b.StopTimer()
-					st.DeleteBefore(time.Unix(1<<40, 0))
-					st.Compact()
-					b.StartTimer()
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)*n/b.Elapsed().Seconds(), "recs/s")
-			// GC relief trajectory: stop-the-world pause attributable to
-			// each ingested record, and the live heap the retained corpus
-			// costs at the end of the run (process-wide, informational).
-			var msAfter runtime.MemStats
-			runtime.ReadMemStats(&msAfter)
-			b.ReportMetric(float64(msAfter.PauseTotalNs-msBefore.PauseTotalNs)/(float64(b.N)*n), "gc-pause-ns/rec")
-			b.ReportMetric(float64(msAfter.HeapAlloc)/(1<<20), "heap-MB")
-
-			cancel()
-			if err := <-done; err != nil {
-				b.Fatal(err)
-			}
-			total := int64(b.N) * n
-			if s := p.Stats(); s.Ingested != total || s.Flushed != total {
-				b.Fatalf("lossy ingest: %+v, want %d", s, total)
-			}
-			reportStages(b, reg, total, b.Elapsed())
-		})
-	}
-}
-
-// BenchmarkPipelineFlushUnderFaults measures end-to-end pipeline
-// throughput with the full resilience stack engaged against a misbehaving
-// sink: a seeded ChaosSink injects write errors and partial deliveries in
-// front of the classifying service while the circuit breaker and the disk
-// spill queue keep delivery lossless (Dropped must stay 0). Compare
-// recs/s against BenchmarkPipelineFlushWorkers for the cost of surviving
-// faults.
-func BenchmarkPipelineFlushUnderFaults(b *testing.B) {
-	const n = 4096
-	tc, recs := serviceStream(b, n)
-	spoolRoot := b.TempDir()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		svc := &core.Service{Classifier: tc, Workers: 2}
-		chaos := resilience.NewChaosSink(svc.Write, resilience.ChaosPlan{
-			Seed: int64(i + 1), ErrorRate: 0.05, PartialRate: 0.25,
-		})
-		ch := make(chan collector.Record, 256)
-		p := &collector.Pipeline{
-			Source: &collector.ChannelSource{Ch: ch},
-			Sink:   chaos,
-			Config: &collector.Config{
-				BatchSize:        128,
-				FlushWorkers:     2,
-				MaxRetries:       2,
-				RetryBackoff:     500 * time.Microsecond,
-				MaxRetryBackoff:  5 * time.Millisecond,
-				BreakerThreshold: 4,
-				ReplayInterval:   time.Millisecond,
-				SpoolDir:         filepath.Join(spoolRoot, strconv.Itoa(i)),
-			},
-		}
-		done := make(chan error, 1)
-		go func() { done <- p.Run(context.Background()) }()
-		for _, r := range recs {
-			ch <- r
-		}
-		close(ch)
-		if err := <-done; err != nil {
-			b.Fatal(err)
-		}
-		if s := p.Stats(); s.Dropped != 0 {
-			b.Fatalf("faults must spool, not drop: %+v", s)
-		}
-	}
-	b.ReportMetric(float64(b.N)*n/b.Elapsed().Seconds(), "recs/s")
 }
 
 // BenchmarkSimulatedLLMThroughput is the Table 3 counterpoint to
@@ -674,36 +316,5 @@ func BenchmarkLemmaAblation(b *testing.B) {
 			b.Fatal(err)
 		}
 		printOnce(b, i, txt)
-	}
-}
-
-// BenchmarkServiceObsOverhead measures the cost of live observability on
-// the classify hot path: the same Service.Write workload with no metrics
-// registry (counters only, no timing) versus a live obs.Registry (same
-// counters plus the per-record classify-latency histogram, i.e. two
-// time.Now calls and one histogram observation per record). The
-// acceptance bar for the observability layer is <5% overhead; compare the
-// two recs/s numbers.
-func BenchmarkServiceObsOverhead(b *testing.B) {
-	const batch = 2048
-	tc, recs := serviceStream(b, batch)
-	for _, cfg := range []struct {
-		name string
-		reg  *obs.Registry
-	}{
-		{"nil-registry", nil},
-		{"live-registry", obs.NewRegistry()},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			svc := &core.Service{Classifier: tc, Workers: 1, Metrics: cfg.reg}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := svc.Write(context.Background(), recs); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.N)*batch/b.Elapsed().Seconds(), "recs/s")
-		})
 	}
 }

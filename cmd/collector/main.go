@@ -25,367 +25,78 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime/debug"
-	"strings"
 	"syscall"
 	"time"
 
-	"hetsyslog/internal/cluster"
-	"hetsyslog/internal/collector"
+	"hetsyslog/internal/app"
 	"hetsyslog/internal/core"
-	"hetsyslog/internal/detect"
-	"hetsyslog/internal/llm"
 	"hetsyslog/internal/loggen"
-	"hetsyslog/internal/monitor"
-	"hetsyslog/internal/obs"
-	"hetsyslog/internal/store"
-	"hetsyslog/internal/syslog"
-	"hetsyslog/internal/taxonomy"
 )
 
+// training holds the flags that shape the model collector trains at
+// start-up; the deployment itself is app.Config.
+type training struct {
+	model string
+	scale int
+}
+
 func main() {
-	var (
-		udpAddr     = flag.String("udp", ":5514", "syslog UDP listen address")
-		tcpAddr     = flag.String("tcp", ":5514", "syslog TCP listen address")
-		httpAddr    = flag.String("http", ":9200", "store HTTP API address")
-		modelName   = flag.String("model", "Complement Naive Bayes", "classifier to deploy")
-		scale       = flag.Int("train-scale", 20000, "training corpus size")
-		seed        = flag.Int64("seed", 1, "training seed")
-		cooldown    = flag.Duration("cooldown", time.Minute, "per-category alert cooldown")
-		shards      = flag.Int("shards", 6, "store shard count")
-		blacklist   = flag.String("blacklist", "", "file of noise exemplars to drop pre-classification (one per line, §5.1)")
-		workers     = flag.Int("workers", 0, "classification goroutines per batch (0 = GOMAXPROCS)")
-		flushers    = flag.Int("flush-workers", 1, "concurrent pipeline flushers (batches in flight)")
-		metricsAddr = flag.String("metrics-addr", "", "dedicated listen address serving /metrics and /debug/pprof (empty disables)")
-		cacheOn     = flag.Bool("classify-cache", true, "cache classifications of repeated/templated messages (disable when retraining the model in place)")
-		cacheSize   = flag.Int("classify-cache-size", core.DefaultCacheSize, "classify cache entries per level")
-		cacheShards = flag.Int("classify-cache-shards", core.DefaultCacheShards, "classify cache shard count (rounded up to a power of two)")
-		spoolDir    = flag.String("spool-dir", "", "directory for the disk spill queue: batches the sink refuses spool here and replay on recovery (empty disables)")
-		spoolMax    = flag.Int64("spool-max-bytes", 0, "spool size bound; oldest segment evicted past it (0 = unbounded)")
-		writeTO     = flag.Duration("write-timeout", 0, "per-attempt sink write timeout (0 = default 30s)")
-		breakerThr  = flag.Int("breaker-threshold", 0, "consecutive failed writes that trip the sink circuit breaker (0 = default 5)")
-		ingestBatch = flag.Int("ingest-batch", 0, "max syslog messages per listener read-loop batch handed to the pipeline (0 = default 256)")
-		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file at clean shutdown (empty disables)")
-		memProfile  = flag.String("memprofile", "", "write an allocation profile to this file at clean shutdown (empty disables)")
-		gcPercent   = flag.Int("gc-percent", 0, "runtime GC target percentage (debug.SetGCPercent; 0 keeps the Go default of 100). With the store's arena-backed corpus the live heap is mostly pointer-free slabs, so higher values trade memory headroom for fewer GC cycles")
-
-		detectOn  = flag.Bool("detect", false, "enable the streaming security detectors (rate spikes + sensitive patterns) as a pipeline stage")
-		detectWin = flag.Duration("detect-window", 0, "detector sliding window and per-source alert cooldown (0 = default 1m)")
-		detectZ   = flag.Float64("detect-zscore", 0, "rate-spike threshold in decayed standard deviations (0 = default 3)")
-		detectMax = flag.Int("detect-max-sources", 0, "tracked detector sources before idlest-entry eviction (0 = default 1<<20)")
-
-		clusterNodes = flag.String("cluster-nodes", "", "comma-separated store node base URLs; non-empty indexes classified documents across them instead of an embedded store (dashboard views are single-node-only and are disabled)")
-		replication  = flag.Int("replication", 0, "copies of each document across cluster nodes (0 = default 2)")
-		partitions   = flag.Int("partitions", 0, "hash partitions for cluster placement (0 = default 32; pick once per cluster)")
-		timeSlice    = flag.Duration("time-slice", 0, "time bucket mixed into cluster routing so hosts spread over nodes (0 = default 1h)")
-		clusterCodec = flag.String("cluster-codec", "", "wire codec for node index batches: binary (default, falls back to json per node) or json")
-		queryCache   = flag.Int("query-cache-size", 0, "coordinator merged-result cache entries for count/datehist/terms (0 = default 256, negative disables)")
-	)
+	cfg := app.Config{Name: "collector"}
+	var tr training
+	flags(flag.CommandLine, &cfg, &tr)
 	flag.Parse()
 
-	if *gcPercent > 0 {
-		debug.SetGCPercent(*gcPercent)
+	if err := run(cfg, tr); err != nil {
+		fmt.Fprintln(os.Stderr, "collector:", err)
+		os.Exit(1)
 	}
+}
 
-	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
-	if err != nil {
-		fatal(err)
-	}
-	defer stopProfiles()
+// flags registers collector's flag set: the shared deployment flags plus
+// the model and classification flags.
+func flags(fs *flag.FlagSet, cfg *app.Config, tr *training) {
+	app.Flags(fs, cfg)
+	fs.StringVar(&tr.model, "model", "Complement Naive Bayes", "classifier to deploy")
+	fs.IntVar(&tr.scale, "train-scale", 20000, "training corpus size")
+	fs.Int64Var(&cfg.Seed, "seed", 1, "training seed")
+	fs.DurationVar(&cfg.Cooldown, "cooldown", time.Minute, "per-category alert cooldown")
+	fs.StringVar(&cfg.Blacklist, "blacklist", "", "file of noise exemplars to drop pre-classification (one per line, §5.1)")
+	fs.IntVar(&cfg.Workers, "workers", 0, "classification goroutines per batch (0 = GOMAXPROCS)")
+	fs.BoolVar(&cfg.Cache, "classify-cache", true, "cache classifications of repeated/templated messages (disable when retraining the model in place)")
+	fs.IntVar(&cfg.CacheSize, "classify-cache-size", core.DefaultCacheSize, "classify cache entries per level")
+	fs.IntVar(&cfg.CacheShards, "classify-cache-shards", core.DefaultCacheShards, "classify cache shard count (rounded up to a power of two)")
+}
 
-	// Train the deployed model.
-	fmt.Fprintf(os.Stderr, "collector: training %s on %d synthetic messages...\n", *modelName, *scale)
-	g := loggen.NewGenerator(*seed)
-	examples, err := g.Dataset(loggen.ScaledPaperCounts(*scale))
+// run trains the model on the synthetic corpus and runs the deployment
+// over it. The generator's cluster stands in for the site inventory.
+func run(cfg app.Config, tr training) error {
+	fmt.Fprintf(os.Stderr, "collector: training %s on %d synthetic messages...\n", tr.model, tr.scale)
+	g := loggen.NewGenerator(cfg.Seed)
+	examples, err := g.Dataset(loggen.ScaledPaperCounts(tr.scale))
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	model, err := core.NewModel(*modelName)
+	model, err := core.NewModel(tr.model)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	tc, err := core.Train(model, core.FromExamples(examples), core.DefaultOptions())
+	cfg.Classifier, err = core.Train(model, core.FromExamples(examples), core.DefaultOptions())
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Fprintf(os.Stderr, "collector: trained in %v (%d features)\n",
-		tc.TrainTime.Round(time.Millisecond), tc.Vectorizer.Dims())
-
-	reg := obs.NewRegistry()
-	obs.RegisterRuntimeMemStats(reg)
-	// Storage backend: an embedded store by default, or — in cluster mode —
-	// a router spreading classified documents across remote store nodes
-	// through the service's Indexer seam.
-	var st *store.Store
-	var router *cluster.Router
-	var coord *cluster.Coordinator
-	if *clusterNodes != "" {
-		var nodes []string
-		for _, n := range strings.Split(*clusterNodes, ",") {
-			if n = strings.TrimSpace(n); n != "" {
-				nodes = append(nodes, n)
-			}
-		}
-		ccfg := cluster.Config{
-			Nodes:            nodes,
-			Replication:      *replication,
-			Partitions:       *partitions,
-			TimeSlice:        *timeSlice,
-			SpoolDir:         *spoolDir,
-			SpoolMaxBytes:    *spoolMax,
-			BreakerThreshold: *breakerThr,
-			Codec:            *clusterCodec,
-			QueryCacheSize:   *queryCache,
-			// Shared ingest generation: router deliveries invalidate the
-			// coordinator's cached aggregates.
-			Gen: cluster.NewGeneration(),
-		}
-		if router, err = cluster.NewRouter(ccfg, reg); err != nil {
-			fatal(err)
-		}
-		if coord, err = cluster.NewCoordinator(ccfg, reg); err != nil {
-			fatal(err)
-		}
-	} else {
-		st = store.New(*shards)
-		st.Instrument(reg)
-	}
-	alerts := &monitor.AlertManager{
-		Cooldown: *cooldown,
-		Notifier: monitor.NotifierFunc(func(a monitor.Alert) {
-			fmt.Println("ALERT", a)
-		}),
-	}
-	svc := &core.Service{Classifier: tc, Alerts: alerts, Workers: *workers, Metrics: reg}
-	if router != nil {
-		svc.Indexer = router
-	} else {
-		svc.Store = st
-	}
-	if *cacheOn {
-		svc.Cache = core.NewClassifyCache(*cacheShards, *cacheSize)
-	}
-
-	// Topology enrichment from the simulated cluster (in a real
-	// deployment this reads the site inventory).
-	topo := g.Cluster
-	enrich := collector.TopologyEnricher(func(host string) (string, string, bool) {
-		n, ok := topo.Lookup(host)
-		if !ok {
-			return "", "", false
-		}
-		return fmt.Sprintf("r%d", n.Rack), string(n.Arch), true
-	})
-
-	dedup := collector.NewDedup(time.Second)
-	dedup.Metrics = reg
-	filters := []collector.Filter{dedup, enrich}
-	if *blacklist != "" {
-		nf := core.NewNoiseFilter(0)
-		data, err := os.ReadFile(*blacklist)
-		if err != nil {
-			fatal(err)
-		}
-		for _, line := range strings.Split(string(data), "\n") {
-			if line = strings.TrimSpace(line); line != "" {
-				nf.Blacklist(line)
-			}
-		}
-		fmt.Fprintf(os.Stderr, "collector: %d noise exemplars blacklisted\n", nf.Exemplars())
-		filters = append(filters, nf)
-	}
-
-	src := collector.NewSyslogSource(*udpAddr, *tcpAddr)
-	src.MaxBatch = *ingestBatch
-	src.Metrics = reg
-	pipeCfg := &collector.Config{
-		FlushWorkers:     *flushers,
-		SpoolDir:         *spoolDir,
-		SpoolMaxBytes:    *spoolMax,
-		WriteTimeout:     *writeTO,
-		BreakerThreshold: *breakerThr,
-	}
-	if router != nil {
-		// In cluster mode durability lives in the router's per-node
-		// breakers and spools; a second pipeline-level spool would replay
-		// records back through classification for no added safety.
-		pipeCfg.SpoolDir, pipeCfg.SpoolMaxBytes = "", 0
-	}
-	if err := pipeCfg.Validate(); err != nil {
-		fatal(err)
-	}
-	// Streaming detectors run as a pipeline stage after dedup/enrichment:
-	// attack traffic varies per line, so dedup passes it through, and the
-	// detectors key rate baselines on the same cached classifier the sink
-	// applies. Their synthetic alerts flow downstream into the store.
-	var det *detect.Detector
-	if *detectOn {
-		det, err = detect.New(detect.Config{
-			Window:     *detectWin,
-			ZScore:     *detectZ,
-			MaxSources: *detectMax,
-			Classify:   svc.CategoryOf,
-			Alerts:     alerts,
-			Metrics:    reg,
-		})
-		if err != nil {
-			fatal(err)
-		}
-	}
-
-	pipe := &collector.Pipeline{
-		Source: src,
-		// rsyslog-style dedup in front of classification keeps identical
-		// message storms from flooding the store; the optional blacklist
-		// drops administrator-listed noise before classification (§5.1).
-		Filters: filters,
-		Sink:    svc,
-		Config:  pipeCfg,
-		Metrics: reg,
-		// Every retention point downstream deep-copies what it keeps (the
-		// store copies into arenas, dedup/detectors/caches clone on insert),
-		// so leased syslog buffers are recycled the moment the pipeline is
-		// done with a record — the zero-garbage ingest fast path.
-		Release: func(r collector.Record) { syslog.Recycle(r.Msg) },
-	}
-	if det != nil {
-		pipe.Stages = []collector.Stage{det}
-	}
+		cfg.Classifier.TrainTime.Round(time.Millisecond), cfg.Classifier.Vectorizer.Dims())
+	cfg.Inventory = g.Cluster
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if router != nil {
-		router.Start(ctx)
+	a, err := app.New(cfg)
+	if err != nil {
+		return err
 	}
-
-	// One HTTP surface: store API at the root (the scatter-gather
-	// coordinator in cluster mode), dashboard views at /views/..., LLM
-	// status summaries at /views/summary. The /views surfaces read the
-	// embedded store directly, so they are single-node-only.
-	mux := http.NewServeMux()
-	mux.Handle("GET /metrics", reg.Handler())
-	mux.HandleFunc("GET /alerts", alerts.ServeAlerts)
-	if det != nil {
-		mux.HandleFunc("GET /detect/state", det.ServeState)
-	}
-	if router != nil {
-		mux.Handle("/", coord.Handler())
-		mux.HandleFunc("GET /cluster/nodes", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(router.Stats())
-		})
-	} else {
-		mux.Handle("/", st.Handler())
-		dash := &monitor.Dashboard{
-			Store: st,
-			Archs: func(arch string) (int, bool) {
-				n := len(topo.NodesWithArch(loggen.Arch(arch)))
-				return n, n > 0
-			},
-		}
-		mux.Handle("/views/", dash.Handler())
-		summarizer := llm.NewSummarizer(llm.Falcon40B(), llm.A100Node(), *seed)
-		mux.HandleFunc("GET /views/summary", func(w http.ResponseWriter, r *http.Request) {
-			text, latency := summarizer.SummarizeSystem(nodeStatuses(st))
-			w.Header().Set("Content-Type", "application/json")
-			fmt.Fprintf(w, "{\"summary\": %q, \"modelled_latency_sec\": %.3f}\n",
-				text, latency.Seconds())
-		})
-	}
-
-	errCh := make(chan error, 2)
-	go func() { errCh <- pipe.Run(ctx) }()
-	httpSrv := &http.Server{Addr: *httpAddr, Handler: mux}
-	go func() { errCh <- httpSrv.ListenAndServe() }()
-	if *metricsAddr != "" {
-		go func() { errCh <- serveObs(*metricsAddr, reg) }()
-	}
-	go func() {
-		<-src.Ready()
-		fmt.Fprintf(os.Stderr, "collector: syslog udp=%s tcp=%s, store http=%s\n",
-			src.BoundUDP, src.BoundTCP, *httpAddr)
-	}()
-
-	select {
-	case <-ctx.Done():
-	case err := <-errCh:
-		if err != nil && err != http.ErrServerClosed {
-			fatal(err)
-		}
-	}
-	classified, actionable := svc.Counts()
-	sent, muted := alerts.Counts()
-	backend := "cluster"
-	if st != nil {
-		backend = st.String()
-	}
-	fmt.Fprintf(os.Stderr, "\ncollector: classified=%d actionable=%d alerts sent=%d muted=%d; %s\n",
-		classified, actionable, sent, muted, backend)
-	if det != nil {
-		for _, dc := range det.State(0).Detectors {
-			if dc.Fired > 0 || dc.Suppressed > 0 {
-				fmt.Fprintf(os.Stderr, "collector: detector %s fired=%d suppressed=%d\n",
-					dc.Detector, dc.Fired, dc.Suppressed)
-			}
-		}
-	}
-	if ps := pipe.Stats(); ps.Spooled > 0 {
-		fmt.Fprintf(os.Stderr, "collector: %d records spooled in %s await replay on next start\n",
-			ps.Spooled, *spoolDir)
-	}
-	shutCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-	defer cancel()
-	_ = httpSrv.Shutdown(shutCtx)
-	if router != nil {
-		if err := router.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "collector: router close:", err)
-		}
-		for i, ns := range router.Stats() {
-			if ns.SpoolRecords > 0 {
-				fmt.Fprintf(os.Stderr, "collector: node %d (%s): %d records spooled await replay on next start\n",
-					i, ns.URL, ns.SpoolRecords)
-			}
-		}
-	}
-}
-
-// nodeStatuses aggregates per-node per-category counts from the store for
-// the summarizer.
-func nodeStatuses(st *store.Store) []llm.NodeStatus {
-	var out []llm.NodeStatus
-	for _, nb := range st.Terms(store.MatchAll{}, "hostname", 0) {
-		ns := llm.NodeStatus{Node: nb.Value, Counts: map[taxonomy.Category]int{}}
-		nodeQ := store.Term{Field: "hostname", Value: nb.Value}
-		for _, cb := range st.Terms(nodeQ, "category", 0) {
-			ns.Counts[taxonomy.Category(cb.Value)] = cb.Count
-		}
-		out = append(out, ns)
-	}
-	return out
-}
-
-// serveObs runs the dedicated observability endpoint: Prometheus scrapes
-// at /metrics plus the pprof profiling surface, kept off the main API
-// address so profiling is never exposed alongside the public port.
-func serveObs(addr string, reg *obs.Registry) error {
-	mux := http.NewServeMux()
-	mux.Handle("GET /metrics", reg.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return (&http.Server{Addr: addr, Handler: mux}).ListenAndServe()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "collector:", err)
-	os.Exit(1)
+	return a.Run(ctx)
 }

@@ -6,6 +6,7 @@
 // Usage:
 //
 //	tivan [-http :9200] [-udp :5514] [-tcp :5514] [-shards 6] [-flush-workers 2]
+//	      [-data snapshot.json] [-retention 720h]
 //	      [-metrics-addr :9600] [-spool-dir /var/spool/tivan]
 //	      [-spool-max-bytes 1073741824] [-write-timeout 30s]
 //	      [-detect] [-detect-window 1m] [-detect-zscore 3]
@@ -29,220 +30,34 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime/debug"
 	"syscall"
-	"time"
 
-	"hetsyslog/internal/collector"
-	"hetsyslog/internal/detect"
-	"hetsyslog/internal/monitor"
-	"hetsyslog/internal/obs"
-	"hetsyslog/internal/store"
-	"hetsyslog/internal/syslog"
+	"hetsyslog/internal/app"
 )
 
 func main() {
-	var (
-		httpAddr    = flag.String("http", ":9200", "HTTP API listen address")
-		udpAddr     = flag.String("udp", ":5514", "syslog UDP listen address (empty disables)")
-		tcpAddr     = flag.String("tcp", ":5514", "syslog TCP listen address (empty disables)")
-		shards      = flag.Int("shards", 6, "index shard count (the paper ran 6 OpenSearch nodes)")
-		dataFile    = flag.String("data", "", "snapshot file: loaded at startup, written at shutdown")
-		retention   = flag.Duration("retention", 0, "drop documents older than this (0 = keep forever)")
-		flushers    = flag.Int("flush-workers", 1, "concurrent pipeline flushers (batches in flight)")
-		metricsAddr = flag.String("metrics-addr", "", "dedicated listen address serving /metrics and /debug/pprof (empty disables)")
-		spoolDir    = flag.String("spool-dir", "", "directory for the disk spill queue: batches the store refuses spool here and replay on recovery (empty disables)")
-		spoolMax    = flag.Int64("spool-max-bytes", 0, "spool size bound; oldest segment evicted past it (0 = unbounded)")
-		writeTO     = flag.Duration("write-timeout", 0, "per-attempt sink write timeout (0 = default 30s)")
-		breakerThr  = flag.Int("breaker-threshold", 0, "consecutive failed writes that trip the sink circuit breaker (0 = default 5)")
-		ingestBatch = flag.Int("ingest-batch", 0, "max syslog messages per listener read-loop batch handed to the pipeline (0 = default 256)")
-		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file at clean shutdown (empty disables)")
-		memProfile  = flag.String("memprofile", "", "write an allocation profile to this file at clean shutdown (empty disables)")
-		gcPercent   = flag.Int("gc-percent", 0, "runtime GC target percentage (debug.SetGCPercent; 0 keeps the Go default of 100). The arena-backed store keeps the retained corpus in pointer-free slabs, so higher values trade memory headroom for fewer GC cycles")
-
-		detectOn  = flag.Bool("detect", false, "enable the streaming security detectors (rate spikes + sensitive patterns) as a pipeline stage; single-node mode only")
-		detectWin = flag.Duration("detect-window", 0, "detector sliding window and per-source alert cooldown (0 = default 1m)")
-		detectZ   = flag.Float64("detect-zscore", 0, "rate-spike threshold in decayed standard deviations (0 = default 3)")
-		detectMax = flag.Int("detect-max-sources", 0, "tracked detector sources before idlest-entry eviction (0 = default 1<<20)")
-
-		clusterNodes = flag.String("cluster-nodes", "", "comma-separated store node base URLs; non-empty switches tivan into cluster front mode (router + query coordinator, no local store)")
-		replication  = flag.Int("replication", 0, "copies of each document across cluster nodes (0 = default 2)")
-		partitions   = flag.Int("partitions", 0, "hash partitions for cluster placement (0 = default 32; pick once per cluster)")
-		timeSlice    = flag.Duration("time-slice", 0, "time bucket mixed into cluster routing so hosts spread over nodes (0 = default 1h)")
-		clusterCodec = flag.String("cluster-codec", "", "wire codec for node index batches: binary (default, falls back to json per node) or json")
-		queryCache   = flag.Int("query-cache-size", 0, "coordinator merged-result cache entries for count/datehist/terms (0 = default 256, negative disables)")
-	)
+	cfg := app.Config{Name: "tivan"}
+	flags(flag.CommandLine, &cfg)
 	flag.Parse()
 
-	if *gcPercent > 0 {
-		debug.SetGCPercent(*gcPercent)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	a, err := app.New(cfg)
+	if err == nil {
+		err = a.Run(ctx)
 	}
-
-	if *clusterNodes != "" {
-		if err := runClusterFront(clusterFlags{
-			httpAddr: *httpAddr, udpAddr: *udpAddr, tcpAddr: *tcpAddr,
-			metricsAddr: *metricsAddr, flushers: *flushers,
-			ingestBatch: *ingestBatch, writeTO: *writeTO,
-			nodes: *clusterNodes, replication: *replication,
-			partitions: *partitions, timeSlice: *timeSlice,
-			spoolDir: *spoolDir, spoolMax: *spoolMax, breakerThr: *breakerThr,
-			codec: *clusterCodec, queryCacheSize: *queryCache,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "tivan:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tivan:", err)
 		os.Exit(1)
 	}
-	defer stopProfiles()
-
-	reg := obs.NewRegistry()
-	obs.RegisterRuntimeMemStats(reg)
-	st := store.New(*shards)
-	st.Instrument(reg)
-	if *dataFile != "" {
-		if err := st.LoadFile(*dataFile); err != nil {
-			if !os.IsNotExist(err) {
-				fmt.Fprintln(os.Stderr, "tivan: load snapshot:", err)
-				os.Exit(1)
-			}
-		} else {
-			fmt.Printf("tivan: restored %d docs from %s\n", st.Count(), *dataFile)
-		}
-	}
-	src := collector.NewSyslogSource(*udpAddr, *tcpAddr)
-	src.MaxBatch = *ingestBatch
-	src.Metrics = reg
-	pipeCfg := &collector.Config{
-		FlushWorkers:     *flushers,
-		SpoolDir:         *spoolDir,
-		SpoolMaxBytes:    *spoolMax,
-		WriteTimeout:     *writeTO,
-		BreakerThreshold: *breakerThr,
-	}
-	if err := pipeCfg.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "tivan:", err)
-		os.Exit(1)
-	}
-	pipe := &collector.Pipeline{
-		Source:  src,
-		Sink:    &collector.StoreSink{Store: st},
-		Config:  pipeCfg,
-		Metrics: reg,
-		// StoreSink copies everything it retains into the store's arenas,
-		// so leased syslog buffers go straight back to the listener pool.
-		Release: func(r collector.Record) { syslog.Recycle(r.Msg) },
-	}
-
-	// Streaming detectors: tivan has no classifier, so rate baselines key
-	// on (host, app) instead of (host, category); sensitive patterns are
-	// unaffected. Alerts print to stderr and are served at /alerts.
-	var alerts *monitor.AlertManager
-	var det *detect.Detector
-	if *detectOn {
-		alerts = &monitor.AlertManager{
-			Notifier: monitor.NotifierFunc(func(a monitor.Alert) {
-				fmt.Fprintln(os.Stderr, "ALERT", a)
-			}),
-		}
-		var err error
-		det, err = detect.New(detect.Config{
-			Window:     *detectWin,
-			ZScore:     *detectZ,
-			MaxSources: *detectMax,
-			Alerts:     alerts,
-			Metrics:    reg,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tivan:", err)
-			os.Exit(1)
-		}
-		pipe.Stages = []collector.Stage{det}
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errCh := make(chan error, 2)
-	go func() { errCh <- pipe.Run(ctx) }()
-
-	if *retention > 0 {
-		go func() {
-			tick := time.NewTicker(time.Minute)
-			defer tick.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-tick.C:
-					if n := st.DeleteBefore(time.Now().Add(-*retention)); n > 0 {
-						st.Compact()
-						fmt.Printf("tivan: retention dropped %d docs\n", n)
-					}
-				}
-			}
-		}()
-	}
-
-	mux := http.NewServeMux()
-	mux.Handle("/", st.Handler())
-	mux.Handle("GET /metrics", reg.Handler())
-	if det != nil {
-		mux.HandleFunc("GET /alerts", alerts.ServeAlerts)
-		mux.HandleFunc("GET /detect/state", det.ServeState)
-	}
-	httpSrv := &http.Server{Addr: *httpAddr, Handler: mux}
-	go func() { errCh <- httpSrv.ListenAndServe() }()
-	if *metricsAddr != "" {
-		go func() { errCh <- serveObs(*metricsAddr, reg) }()
-	}
-
-	go func() {
-		<-src.Ready()
-		fmt.Printf("tivan: syslog udp=%s tcp=%s, http=%s, %d shards\n",
-			src.BoundUDP, src.BoundTCP, *httpAddr, *shards)
-	}()
-
-	select {
-	case <-ctx.Done():
-		fmt.Println("\ntivan: shutting down;", st.String())
-		if *dataFile != "" {
-			if err := st.SaveFile(*dataFile); err != nil {
-				fmt.Fprintln(os.Stderr, "tivan: snapshot:", err)
-			} else {
-				fmt.Printf("tivan: snapshot written to %s\n", *dataFile)
-			}
-		}
-		shutCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-		defer cancel()
-		_ = httpSrv.Shutdown(shutCtx)
-	case err := <-errCh:
-		if err != nil && err != http.ErrServerClosed {
-			fmt.Fprintln(os.Stderr, "tivan:", err)
-			os.Exit(1)
-		}
-	}
 }
 
-// serveObs runs the dedicated observability endpoint: Prometheus scrapes
-// at /metrics plus the pprof profiling surface, kept off the main API
-// address so profiling is never exposed alongside the public port.
-func serveObs(addr string, reg *obs.Registry) error {
-	mux := http.NewServeMux()
-	mux.Handle("GET /metrics", reg.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return (&http.Server{Addr: addr, Handler: mux}).ListenAndServe()
+// flags registers tivan's flag set: the shared deployment flags plus the
+// two that only a store without a classifier in front has.
+func flags(fs *flag.FlagSet, cfg *app.Config) {
+	app.Flags(fs, cfg)
+	fs.StringVar(&cfg.DataFile, "data", "", "snapshot file: loaded at startup, written at shutdown")
+	fs.DurationVar(&cfg.Retention, "retention", 0, "drop documents older than this (0 = keep forever)")
 }

@@ -11,9 +11,11 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"time"
 
+	"hetsyslog/internal/app"
 	"hetsyslog/internal/collector"
 	"hetsyslog/internal/core"
 	"hetsyslog/internal/loggen"
@@ -38,44 +40,37 @@ func main() {
 	}
 	fmt.Printf("trained %s in %v\n", model.Name(), clf.TrainTime.Round(time.Millisecond))
 
-	// --- Stand up the service: store + alerts + classification sink. ---
-	st := store.New(4)
+	// --- Stand up the deployment both binaries run (internal/app): store +
+	// alerts + dedup/enrichment stages + classification sink. ---
 	alertCount := 0
-	alerts := &monitor.AlertManager{
-		Cooldown: 500 * time.Millisecond,
-		Notifier: monitor.NotifierFunc(func(a monitor.Alert) {
+	a, err := app.New(app.Config{
+		Name: "pipeline", Log: io.Discard,
+		TCPAddr: "127.0.0.1:0", HTTPAddr: "127.0.0.1:0", Shards: 4,
+		Classifier: clf, Inventory: gen.Cluster, Cooldown: 500 * time.Millisecond,
+		Notifier: monitor.NotifierFunc(func(al monitor.Alert) {
 			alertCount++
 			if alertCount <= 5 {
-				fmt.Println("ALERT", a)
+				fmt.Println("ALERT", al)
 			}
 		}),
-	}
-	svc := &core.Service{Classifier: clf, Store: st, Alerts: alerts}
-
-	cluster := gen.Cluster
-	enrich := collector.TopologyEnricher(func(host string) (string, string, bool) {
-		n, ok := cluster.Lookup(host)
-		if !ok {
-			return "", "", false
-		}
-		return fmt.Sprintf("r%d", n.Rack), string(n.Arch), true
+		Pipeline: collector.Config{BatchSize: 32, FlushInterval: 20 * time.Millisecond},
 	})
-
-	src := collector.NewSyslogSource("", "127.0.0.1:0")
-	pipe := &collector.Pipeline{
-		Source:    src,
-		Filters:   []collector.Filter{enrich},
-		Sink:      svc,
-		BatchSize: 32, FlushInterval: 20 * time.Millisecond,
+	if err != nil {
+		log.Fatal(err)
 	}
+	svc, st, alerts := a.Service, a.Store, a.Alerts
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	pipeDone := make(chan error, 1)
-	go func() { pipeDone <- pipe.Run(ctx) }()
-	<-src.Ready()
+	runDone := make(chan error, 1)
+	go func() { runDone <- a.Run(ctx) }()
+	select {
+	case <-a.Source.Ready():
+	case err := <-runDone:
+		log.Fatal(err)
+	}
 
 	// --- A relay in front (the primary syslog server of §4.2.2). ---
-	downstream, err := syslog.DialSender("tcp", src.BoundTCP, syslog.FormatRFC5424)
+	downstream, err := syslog.DialSender("tcp", a.Source.BoundTCP, syslog.FormatRFC5424)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -100,16 +95,14 @@ func main() {
 		}
 	}
 
-	// Wait for the stream to drain (UDP may drop a few under burst).
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if c, _ := svc.Counts(); c >= total {
-			break
-		}
+	// Wait until the listener has parsed everything, then shut down: Run
+	// drains the pipeline into the store before it returns.
+	received := a.Registry.Counter("syslog_received_total", "")
+	for deadline := time.Now().Add(10 * time.Second); received.Value() < total && time.Now().Before(deadline); {
 		time.Sleep(20 * time.Millisecond)
 	}
 	cancel()
-	if err := <-pipeDone; err != nil {
+	if err := <-runDone; err != nil {
 		log.Fatal(err)
 	}
 

@@ -82,11 +82,8 @@ func TestAccountingInvariantUnderConcurrentRefusal(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	p := &Pipeline{
-		Source: src,
-		Sink:   sink,
-		Filters: []Filter{FilterFunc(func(r Record) (Record, bool) {
-			return r, r.Tag != "drop"
-		})},
+		Source:  src,
+		Sink:    sink,
 		Metrics: reg,
 		Config: &Config{
 			BatchSize:     8,
@@ -95,6 +92,9 @@ func TestAccountingInvariantUnderConcurrentRefusal(t *testing.T) {
 			FlushWorkers:  2,
 			MaxRetries:    1,
 		},
+		Stages: []Stage{FilterFunc(func(r Record) (Record, bool) {
+			return r, r.Tag != "drop"
+		})},
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)

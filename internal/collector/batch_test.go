@@ -78,8 +78,8 @@ func TestPipelinePrefersBatchSource(t *testing.T) {
 	sink := &MemorySink{}
 	p := &Pipeline{
 		Source: src, Sink: sink,
-		BatchSize: 16, FlushInterval: time.Millisecond,
-		Filters: []Filter{SeverityFilter(syslog.Info)},
+		Stages: []Stage{SeverityFilter(syslog.Info)},
+		Config: &Config{BatchSize: 16, FlushInterval: time.Millisecond},
 	}
 	if err := p.Run(context.Background()); err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestBatchRefusalCountsDropped(t *testing.T) {
 	src := &sliceBatchSource{batches: makeBatches(50, 8)}
 	p := &Pipeline{
 		Source: src, Sink: blocking,
-		BatchSize: 2, FlushInterval: time.Millisecond, QueueDepth: 2,
+		Config: &Config{BatchSize: 2, FlushInterval: time.Millisecond, QueueDepth: 2},
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -145,7 +145,7 @@ func TestSyslogSourceBatchedTCPEndToEnd(t *testing.T) {
 	sink := &MemorySink{}
 	p := &Pipeline{
 		Source: src, Sink: sink, Metrics: reg,
-		BatchSize: 16, FlushInterval: 5 * time.Millisecond,
+		Config: &Config{BatchSize: 16, FlushInterval: 5 * time.Millisecond},
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

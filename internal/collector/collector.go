@@ -1,11 +1,11 @@
 // Package collector implements the Fluentd role from the paper's
 // infrastructure (§4.2): it ingests records from a source (typically the
-// syslog listener), runs them through a filter chain (parsing, metadata
-// enrichment, noise dropping), buffers them, and flushes batches to a sink
-// (typically the Tivan store) with bounded retry, backpressure, a circuit
-// breaker, and an optional disk spill queue so a sink outage spools
-// records instead of dropping them — the durability Fluentd's file buffer
-// provides in the paper's deployment.
+// syslog listener), runs them through a stage chain (metadata enrichment,
+// dedup, noise dropping, detection), buffers them, and flushes batches to
+// a sink (typically the Tivan store) with bounded retry, backpressure, a
+// circuit breaker, and an optional disk spill queue so a sink outage
+// spools records instead of dropping them — the durability Fluentd's file
+// buffer provides in the paper's deployment.
 package collector
 
 import (
@@ -90,8 +90,7 @@ type BatchSource interface {
 
 // Stage is a first-class element of the processing chain: it can
 // transform a record, drop it, and inject additional records of its own.
-// It unifies the older Filter/EmittingFilter pair behind one interface
-// and is the seam cross-message analytics (Dedup summaries, the
+// It is the seam cross-message analytics (Dedup summaries, the
 // internal/detect streaming detectors) mount on.
 type Stage interface {
 	// Process handles one record, returning the (possibly modified)
@@ -100,6 +99,9 @@ type Stage interface {
 	// through the remaining chain, are counted as Ingested, and are
 	// enqueued like any other record, so the accounting invariant
 	// Ingested == Filtered + Flushed + Dropped + Spooled still holds.
+	// emit blocks while the flush queue is full and never refuses a
+	// record, shutdown included: the flushers drain the queue until every
+	// stage has closed.
 	//
 	// The pipeline passes the same emit function on every call to a
 	// given stage, and it stays valid until Run returns, so stages may
@@ -135,56 +137,22 @@ type ClosingStage interface {
 	Close()
 }
 
-// Filter transforms or drops records.
-//
-// Deprecated: implement Stage. Filters wired through Pipeline.Filters
-// keep working — the pipeline adapts them — but cannot inject records or
-// receive lifecycle hooks unless they also implement Stage (as Dedup
-// does) or the legacy EmittingFilter interface.
-type Filter interface {
-	// Apply returns the (possibly modified) record and whether to keep it.
-	Apply(r Record) (Record, bool)
-}
-
-// FilterFunc adapts a function to Filter.
+// FilterFunc adapts a per-record function — one that needs neither emit
+// nor lifecycle hooks — to Stage.
 type FilterFunc func(r Record) (Record, bool)
 
-// Apply calls f.
+// Process calls f.
+func (f FilterFunc) Process(r Record, _ func(Record)) (Record, bool) { return f(r) }
+
+// Apply calls f: the way to run a FilterFunc on a record outside a
+// pipeline.
 func (f FilterFunc) Apply(r Record) (Record, bool) { return f(r) }
-
-// EmittingFilter is a Filter that can inject additional records of its
-// own. The pipeline calls SetEmit before the source starts; injected
-// records get the same treatment as Stage emissions.
-//
-// Deprecated: implement Stage, whose Process receives the emit function
-// directly.
-type EmittingFilter interface {
-	Filter
-	SetEmit(emit func(Record))
-}
-
-// filterStage adapts a legacy Filter into the Stage chain. Injection for
-// EmittingFilters still flows through SetEmit, wired by the pipeline.
-type filterStage struct{ f Filter }
-
-func (s filterStage) Process(r Record, _ func(Record)) (Record, bool) { return s.f.Apply(r) }
-
-// stageHooks resolves which value to probe for the SetEmit/Sweep/Close
-// hooks: the wrapped Filter for adapted legacy filters, the stage itself
-// otherwise.
-func stageHooks(s Stage) any {
-	if fs, ok := s.(filterStage); ok {
-		return fs.f
-	}
-	return s
-}
 
 // Sink receives flushed batches. Write must be safe to retry: the
 // pipeline re-delivers the whole batch on error (possibly replayed from
 // the disk spool, possibly on a different goroutine). ctx carries the
 // pipeline's per-attempt write timeout; implementations doing I/O should
-// honor it. Sinks that predate the context parameter can be wrapped with
-// AdaptSink.
+// honor it.
 type Sink interface {
 	Write(ctx context.Context, batch []Record) error
 }
@@ -195,31 +163,18 @@ type SinkFunc func(ctx context.Context, batch []Record) error
 // Write calls f.
 func (f SinkFunc) Write(ctx context.Context, batch []Record) error { return f(ctx, batch) }
 
-// LegacySink is the pre-context sink interface.
-//
-// Deprecated: implement Sink (context-aware Write) instead. LegacySink
-// and AdaptSink remain for one release to ease migration.
-type LegacySink interface {
-	Write(batch []Record) error
-}
-
-// AdaptSink wraps a LegacySink into a Sink, discarding the context (the
-// wrapped sink cannot observe per-attempt timeouts or shutdown).
-func AdaptSink(s LegacySink) Sink {
-	return SinkFunc(func(_ context.Context, batch []Record) error { return s.Write(batch) })
-}
-
 // Stats counts pipeline activity.
 type Stats struct {
 	Ingested int64 // records emitted by the source (plus spool-recovered ones)
-	Filtered int64 // records dropped by the filter chain
+	Filtered int64 // records dropped by the stage chain
 	Flushed  int64 // records successfully written to the sink (incl. replayed)
 	Retries  int64 // batch write retries
 	// Dropped counts records lost for any reason: retries exhausted with
 	// no spool configured, spool write failure, spool eviction under its
 	// byte bound, retry abandoned at shutdown with no spool, or discarded
 	// at enqueue because the context was cancelled while the queue was
-	// full. After Run returns,
+	// full (source records only; stage emissions always enqueue). After
+	// Run returns,
 	// Ingested == Filtered + Flushed + Dropped + Spooled.
 	Dropped int64
 	// Spooled counts records currently sitting in the disk spill queue
@@ -228,55 +183,19 @@ type Stats struct {
 	Spooled int64
 }
 
-// Pipeline wires source -> filters -> buffer -> sink, with a circuit
+// Pipeline wires source -> stages -> buffer -> sink, with a circuit
 // breaker and an optional disk spill queue between buffer and sink.
-//
-// Knobs live in Config. The loose fields below predate it and keep
-// working: a knob left zero in Config (or with Config nil) falls back to
-// the corresponding loose field, and whatever is still unset gets the
-// documented default. See Config for the mapping.
 type Pipeline struct {
 	Source Source
-	// Filters is the legacy processing chain, run before Stages.
-	//
-	// Deprecated: use Stages. A Filter that also implements Stage (Dedup)
-	// is used natively, so it gets the emit function and lifecycle hooks
-	// whichever field it was wired through.
-	Filters []Filter
 	// Stages is the processing chain: each record flows through every
-	// stage in order (after any adapted Filters), and stages may drop,
-	// transform, or inject records. See Stage.
+	// stage in order, and stages may drop, transform, or inject records.
+	// See Stage.
 	Stages []Stage
 	Sink   Sink
 
-	// Config groups and validates every pipeline knob. Optional: a nil
-	// Config behaves as the zero Config (loose fields, then defaults).
+	// Config holds every pipeline knob. Optional: a nil Config behaves as
+	// the zero Config (documented defaults).
 	Config *Config
-
-	// BatchSize flushes when the buffer reaches this many records.
-	//
-	// Deprecated: set Config.BatchSize.
-	BatchSize int
-	// FlushInterval flushes a partial buffer after this long.
-	//
-	// Deprecated: set Config.FlushInterval.
-	FlushInterval time.Duration
-	// MaxRetries bounds redelivery attempts per batch.
-	//
-	// Deprecated: set Config.MaxRetries.
-	MaxRetries int
-	// RetryBackoff is the initial backoff of the jittered ladder.
-	//
-	// Deprecated: set Config.RetryBackoff.
-	RetryBackoff time.Duration
-	// QueueDepth is the buffered-channel depth between ingest and flush.
-	//
-	// Deprecated: set Config.QueueDepth.
-	QueueDepth int
-	// FlushWorkers is the number of concurrent flusher goroutines.
-	//
-	// Deprecated: set Config.FlushWorkers.
-	FlushWorkers int
 
 	// Metrics optionally publishes the pipeline's counters, queue-depth
 	// gauge, breaker/spool gauges and batch/flush/attempt histograms into
@@ -331,9 +250,9 @@ func (p *Pipeline) initMetrics() {
 		p.queueDepth = p.Metrics.Gauge("pipeline_queue_depth",
 			"records buffered between ingest and flush")
 		p.ingested = p.Metrics.Counter("pipeline_ingested_total",
-			"records emitted by the source (including filter-injected and spool-recovered records)")
+			"records emitted by the source (including stage-injected and spool-recovered records)")
 		p.filtered = p.Metrics.Counter("pipeline_filtered_total",
-			"records dropped by the filter chain")
+			"records dropped by the stage chain")
 		p.flushed = p.Metrics.Counter("pipeline_flushed_total",
 			"records successfully written to the sink (including spool replays)")
 		p.retries = p.Metrics.Counter("pipeline_retries_total",
@@ -371,22 +290,6 @@ func (p *Pipeline) Stats() Stats {
 	}
 }
 
-// chain resolves the effective processing chain: the deprecated Filters
-// (adapted) first, then Stages. A Filter that already implements Stage
-// is used directly so its emit function and lifecycle hooks work no
-// matter which field it was wired through.
-func (p *Pipeline) chain() []Stage {
-	chain := make([]Stage, 0, len(p.Filters)+len(p.Stages))
-	for _, f := range p.Filters {
-		if s, ok := f.(Stage); ok {
-			chain = append(chain, s)
-		} else {
-			chain = append(chain, filterStage{f: f})
-		}
-	}
-	return append(chain, p.Stages...)
-}
-
 // prepare validates the pipeline, resolves the effective Config and
 // initializes metrics.
 func (p *Pipeline) prepare() error {
@@ -397,7 +300,6 @@ func (p *Pipeline) prepare() error {
 	if p.Config != nil {
 		cfg = *p.Config
 	}
-	cfg.fillFromLegacy(p)
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -476,10 +378,10 @@ func (p *Pipeline) Run(ctx context.Context) error {
 		}()
 	}
 
-	// sendChunk delivers one chunk of filtered records, preferring
-	// delivery over shutdown: a cancelled context only refuses a chunk
-	// when the queue has no room for it, and the refusal is reported to
-	// the source as ErrPipelineClosed.
+	// sendChunk delivers one chunk of source records that survived the
+	// chain, preferring delivery over shutdown: a cancelled context only
+	// refuses a chunk when the queue has no room for it, and the refusal
+	// is reported to the source as ErrPipelineClosed.
 	sendChunk := func(chunk []Record) error {
 		n := int64(len(chunk))
 		if n == 0 {
@@ -507,43 +409,46 @@ func (p *Pipeline) Run(ctx context.Context) error {
 		}
 	}
 
-	// The effective chain: adapted legacy Filters first, then Stages.
-	chain := p.chain()
+	chain := p.Stages
 
-	// processFrom runs r through chain[from:] and enqueues survivors as
-	// single-record chunks. Each stage gets one stable emit closure that
-	// injects records downstream of itself, counted as Ingested; records
-	// refused at shutdown are accounted by enqueue. Legacy
-	// EmittingFilters receive the same closure through SetEmit.
-	var processFrom func(r Record, from int) error
+	// runFrom runs r through chain[from:] and reports whether it survived.
+	// Each stage gets one stable emit closure that injects records
+	// downstream of itself, counted as Ingested. An injected record that
+	// survives is enqueued with a plain blocking send: a stage emits from
+	// Process, from the sweep ticker or from Close, all of which finish
+	// before the queue closes, and the flushers drain it until then — so
+	// the send always completes, and a burst summary emitted after
+	// cancellation is delivered instead of racing the cancelled context.
+	var runFrom func(r Record, from int) (Record, bool)
 	emitFor := make([]func(Record), len(chain))
 	for i := range chain {
 		after := i + 1
 		emitFor[i] = func(r Record) {
 			p.ingested.Add(1)
-			_ = processFrom(r, after)
-		}
-	}
-	processFrom = func(r Record, from int) error {
-		for i := from; i < len(chain); i++ {
-			var keep bool
-			r, keep = chain[i].Process(r, emitFor[i])
-			if !keep {
-				p.filtered.Add(1)
-				return nil
+			if r, keep := runFrom(r, after); keep {
+				p.queueDepth.Add(1)
+				queue <- append(p.getChunk(), r)
 			}
 		}
-		return sendChunk(append(p.getChunk(), r))
 	}
-	for i, s := range chain {
-		if ef, ok := stageHooks(s).(interface{ SetEmit(func(Record)) }); ok {
-			ef.SetEmit(emitFor[i])
+	runFrom = func(r Record, from int) (Record, bool) {
+		for i := from; i < len(chain); i++ {
+			var keep bool
+			if r, keep = chain[i].Process(r, emitFor[i]); !keep {
+				p.filtered.Add(1)
+				return r, false
+			}
 		}
+		return r, true
 	}
 
 	emit := func(r Record) error {
 		p.ingested.Add(1)
-		return processFrom(r, 0)
+		r, keep := runFrom(r, 0)
+		if !keep {
+			return nil
+		}
+		return sendChunk(append(p.getChunk(), r))
 	}
 
 	// emitBatch ingests a whole batch: every record runs the full chain,
@@ -552,15 +457,7 @@ func (p *Pipeline) Run(ctx context.Context) error {
 		p.ingested.Add(int64(len(rs)))
 		chunk := p.getChunk()
 		for _, r := range rs {
-			keep := true
-			for i := 0; i < len(chain); i++ {
-				r, keep = chain[i].Process(r, emitFor[i])
-				if !keep {
-					p.filtered.Add(1)
-					break
-				}
-			}
-			if keep {
+			if r, keep := runFrom(r, 0); keep {
 				chunk = append(chunk, r)
 			}
 		}
@@ -571,9 +468,9 @@ func (p *Pipeline) Run(ctx context.Context) error {
 	// a clock-driven eviction pass, so expired bursts summarize and idle
 	// sources evict even when no traffic arrives to trigger the stages'
 	// own lazy sweeps.
-	var sweepers []interface{ Sweep(now time.Time) int }
+	var sweepers []SweepingStage
 	for _, s := range chain {
-		if sw, ok := stageHooks(s).(interface{ Sweep(now time.Time) int }); ok {
+		if sw, ok := s.(SweepingStage); ok {
 			sweepers = append(sweepers, sw)
 		}
 	}
@@ -610,7 +507,7 @@ func (p *Pipeline) Run(ctx context.Context) error {
 	close(stopSweep)
 	sweepWG.Wait()
 	for _, s := range chain {
-		if cl, ok := stageHooks(s).(interface{ Close() }); ok {
+		if cl, ok := s.(ClosingStage); ok {
 			cl.Close()
 		}
 	}

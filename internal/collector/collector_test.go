@@ -39,7 +39,7 @@ func runPipeline(t *testing.T, p *Pipeline, feed func(chan<- Record)) {
 
 func TestPipelineDeliversToSink(t *testing.T) {
 	sink := &MemorySink{}
-	p := &Pipeline{Sink: sink, BatchSize: 4, FlushInterval: 10 * time.Millisecond}
+	p := &Pipeline{Sink: sink, Config: &Config{BatchSize: 4, FlushInterval: 10 * time.Millisecond}}
 	runPipeline(t, p, func(ch chan<- Record) {
 		for i := 0; i < 10; i++ {
 			ch <- record("cn1", "kernel", fmt.Sprintf("message %d", i), syslog.Info)
@@ -57,8 +57,8 @@ func TestPipelineDeliversToSink(t *testing.T) {
 func TestPipelineFilterChain(t *testing.T) {
 	sink := &MemorySink{}
 	p := &Pipeline{
-		Sink:    sink,
-		Filters: []Filter{SeverityFilter(syslog.Warning)},
+		Sink:   sink,
+		Stages: []Stage{SeverityFilter(syslog.Warning)},
 	}
 	runPipeline(t, p, func(ch chan<- Record) {
 		ch <- record("cn1", "kernel", "critical thing", syslog.Critical)
@@ -110,8 +110,8 @@ func TestPipelineRetriesAndDrops(t *testing.T) {
 		return errors.New("sink down")
 	})
 	p := &Pipeline{
-		Sink: failing, BatchSize: 2, FlushInterval: 5 * time.Millisecond,
-		MaxRetries: 2, RetryBackoff: time.Millisecond,
+		Sink:   failing,
+		Config: &Config{BatchSize: 2, FlushInterval: 5 * time.Millisecond, MaxRetries: 2, RetryBackoff: time.Millisecond},
 	}
 	runPipeline(t, p, func(ch chan<- Record) {
 		ch <- record("cn1", "kernel", "a", syslog.Info)
@@ -138,7 +138,7 @@ func TestPipelineRecoversAfterTransientFailure(t *testing.T) {
 		}
 		return sink.Write(ctx, batch)
 	})
-	p := &Pipeline{Sink: flaky, BatchSize: 2, MaxRetries: 3, RetryBackoff: time.Millisecond}
+	p := &Pipeline{Sink: flaky, Config: &Config{BatchSize: 2, MaxRetries: 3, RetryBackoff: time.Millisecond}}
 	runPipeline(t, p, func(ch chan<- Record) {
 		ch <- record("cn1", "kernel", "a", syslog.Info)
 		ch <- record("cn1", "kernel", "b", syslog.Info)
@@ -153,7 +153,7 @@ func TestPipelineRecoversAfterTransientFailure(t *testing.T) {
 
 func TestPipelineFlushOnInterval(t *testing.T) {
 	sink := &MemorySink{}
-	p := &Pipeline{Sink: sink, BatchSize: 1000, FlushInterval: 5 * time.Millisecond}
+	p := &Pipeline{Sink: sink, Config: &Config{BatchSize: 1000, FlushInterval: 5 * time.Millisecond}}
 	ch := make(chan Record)
 	p.Source = &ChannelSource{Ch: ch}
 	done := make(chan error, 1)
@@ -179,8 +179,13 @@ func TestShutdownInterruptsRetryBackoff(t *testing.T) {
 		return errors.New("sink down")
 	})
 	p := &Pipeline{
-		Sink: failing, BatchSize: 1, FlushInterval: time.Millisecond,
-		MaxRetries: 10, RetryBackoff: 30 * time.Second, // ladder would take minutes
+		Sink: failing,
+		Config: &Config{
+			BatchSize:     1,
+			FlushInterval: time.Millisecond,
+			MaxRetries:    10,
+			RetryBackoff:  30 * time.Second, // ladder would take minutes
+		},
 	}
 	ch := make(chan Record)
 	p.Source = &ChannelSource{Ch: ch}
@@ -227,8 +232,8 @@ func TestStatsInvariantWhenCancelledWithFullQueue(t *testing.T) {
 		return sink.Write(ctx, batch)
 	})
 	p := &Pipeline{
-		Sink: blocking, BatchSize: 2, FlushInterval: time.Millisecond,
-		QueueDepth: 2,
+		Sink:   blocking,
+		Config: &Config{BatchSize: 2, FlushInterval: time.Millisecond, QueueDepth: 2},
 	}
 	ch := make(chan Record)
 	p.Source = &ChannelSource{Ch: ch}
@@ -268,8 +273,8 @@ func TestStatsInvariantWhenCancelledWithFullQueue(t *testing.T) {
 func TestFlushWorkersDeliverEverything(t *testing.T) {
 	sink := &MemorySink{}
 	p := &Pipeline{
-		Sink: sink, BatchSize: 4, FlushInterval: time.Millisecond,
-		FlushWorkers: 4,
+		Sink:   sink,
+		Config: &Config{BatchSize: 4, FlushInterval: time.Millisecond, FlushWorkers: 4},
 	}
 	const n = 500
 	runPipeline(t, p, func(ch chan<- Record) {
@@ -308,7 +313,7 @@ func TestRecordToDoc(t *testing.T) {
 
 func TestStoreSinkEndToEnd(t *testing.T) {
 	st := store.New(2)
-	p := &Pipeline{Sink: &StoreSink{Store: st}, BatchSize: 8}
+	p := &Pipeline{Sink: &StoreSink{Store: st}, Config: &Config{BatchSize: 8}}
 	runPipeline(t, p, func(ch chan<- Record) {
 		for i := 0; i < 20; i++ {
 			ch <- record(fmt.Sprintf("cn%d", i%4), "kernel",
@@ -327,7 +332,7 @@ func TestStoreSinkEndToEnd(t *testing.T) {
 func TestSyslogSourceEndToEnd(t *testing.T) {
 	src := NewSyslogSource("127.0.0.1:0", "")
 	sink := &MemorySink{}
-	p := &Pipeline{Source: src, Sink: sink, BatchSize: 4, FlushInterval: 5 * time.Millisecond}
+	p := &Pipeline{Source: src, Sink: sink, Config: &Config{BatchSize: 4, FlushInterval: 5 * time.Millisecond}}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)
@@ -367,12 +372,12 @@ func TestDedupSuppressesWithinWindow(t *testing.T) {
 	d.Now = func() time.Time { return clock }
 
 	r := record("cn1", "kernel", "same message", syslog.Warning)
-	if _, keep := d.Apply(r); !keep {
+	if _, keep := d.Process(r, nil); !keep {
 		t.Fatal("first occurrence must pass")
 	}
 	for i := 0; i < 5; i++ {
 		clock = clock.Add(100 * time.Millisecond)
-		if _, keep := d.Apply(r); keep {
+		if _, keep := d.Process(r, nil); keep {
 			t.Fatal("duplicate inside window must drop")
 		}
 	}
@@ -381,7 +386,7 @@ func TestDedupSuppressesWithinWindow(t *testing.T) {
 	}
 	// After the window: passes again, annotated with the count.
 	clock = clock.Add(time.Second)
-	out, keep := d.Apply(r)
+	out, keep := d.Process(r, nil)
 	if !keep {
 		t.Fatal("post-window occurrence must pass")
 	}
@@ -397,14 +402,14 @@ func TestDedupDistinguishesKeys(t *testing.T) {
 	c := record("cn1", "sshd", "msg", syslog.Info)     // different app
 	e := record("cn1", "kernel", "other", syslog.Info) // different content
 	for _, r := range []Record{a, b, c, e} {
-		if _, keep := d.Apply(r); !keep {
+		if _, keep := d.Process(r, nil); !keep {
 			t.Fatal("distinct keys must all pass")
 		}
 	}
-	if _, keep := d.Apply(a); keep {
+	if _, keep := d.Process(a, nil); keep {
 		t.Fatal("true duplicate must drop")
 	}
-	if _, keep := d.Apply(Record{}); keep {
+	if _, keep := d.Process(Record{}, nil); keep {
 		t.Fatal("nil message must drop")
 	}
 }
@@ -412,8 +417,8 @@ func TestDedupDistinguishesKeys(t *testing.T) {
 func TestDedupInPipeline(t *testing.T) {
 	sink := &MemorySink{}
 	p := &Pipeline{
-		Sink:    sink,
-		Filters: []Filter{NewDedup(time.Minute)},
+		Sink:   sink,
+		Stages: []Stage{NewDedup(time.Minute)},
 	}
 	runPipeline(t, p, func(ch chan<- Record) {
 		for i := 0; i < 10; i++ {

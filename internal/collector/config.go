@@ -7,11 +7,8 @@ import (
 )
 
 // Config groups every pipeline knob behind one validated struct. The
-// zero value is fully usable: zero fields fall back first to the
-// pipeline's legacy loose fields (BatchSize, FlushInterval, MaxRetries,
-// RetryBackoff, QueueDepth, FlushWorkers — the pre-Config API), then to
-// the documented defaults. Validate reports every violation at once, not
-// just the first.
+// zero value is fully usable: zero fields take the documented defaults.
+// Validate reports every violation at once, not just the first.
 type Config struct {
 	// BatchSize flushes when a worker's buffer reaches this many records
 	// (default 128).
@@ -123,33 +120,6 @@ func (c Config) Validate() error {
 		bad("ReplayInterval %v is negative", c.ReplayInterval)
 	}
 	return errors.Join(errs...)
-}
-
-// fillFromLegacy backfills zero Config fields from the pipeline's
-// deprecated loose knob fields, preserving the pre-Config API. A loose
-// field <= 0 is treated as unset — the old defaults() ran with the
-// documented default for it — so it is not copied into the Config and
-// never reaches Validate, which only rejects negatives set explicitly
-// on Config itself.
-func (c *Config) fillFromLegacy(p *Pipeline) {
-	if c.BatchSize == 0 && p.BatchSize > 0 {
-		c.BatchSize = p.BatchSize
-	}
-	if c.FlushInterval == 0 && p.FlushInterval > 0 {
-		c.FlushInterval = p.FlushInterval
-	}
-	if c.MaxRetries == 0 && p.MaxRetries > 0 {
-		c.MaxRetries = p.MaxRetries
-	}
-	if c.RetryBackoff == 0 && p.RetryBackoff > 0 {
-		c.RetryBackoff = p.RetryBackoff
-	}
-	if c.QueueDepth == 0 && p.QueueDepth > 0 {
-		c.QueueDepth = p.QueueDepth
-	}
-	if c.FlushWorkers == 0 && p.FlushWorkers > 0 {
-		c.FlushWorkers = p.FlushWorkers
-	}
 }
 
 // withDefaults returns c with the documented default for every field

@@ -18,9 +18,9 @@ import (
 // A burst can end two ways. If the message recurs after the window, the
 // recurrence passes annotated with Meta["repeated"] carrying the count it
 // absorbed. If it never recurs, the entry is evicted once its window
-// expires — by the lazy sweep Apply runs at most once per window, or by
+// expires — by the lazy sweep Process runs at most once per window, or by
 // an explicit Sweep — and a copy of the burst's first record, annotated
-// the same way, is handed to the emit callback (see SetEmit). Eviction
+// the same way, is handed to the emit function Process received. Eviction
 // bounds memory: without it every distinct (host, app, content) triple
 // ever seen would live forever.
 type Dedup struct {
@@ -42,7 +42,10 @@ type Dedup struct {
 	mu        sync.Mutex
 	last      map[string]*dedupEntry
 	lastSweep time.Time
-	emit      func(Record)
+	// emit is the first non-nil emit function Process was handed (the
+	// pipeline passes one stable closure, see Stage), retained so Sweep
+	// and Close can deliver summaries.
+	emit func(Record)
 	// emitSet lets Process skip the emit-install lock once one is
 	// wired, keeping the per-record path at a single lock acquisition.
 	emitSet atomic.Bool
@@ -56,7 +59,7 @@ type dedupEntry struct {
 	rec Record
 }
 
-// NewDedup returns a Dedup filter with the given window.
+// NewDedup returns a Dedup stage with the given window.
 func NewDedup(window time.Duration) *Dedup {
 	if window <= 0 {
 		window = time.Second
@@ -89,27 +92,6 @@ func (d *Dedup) initMetrics() {
 	})
 }
 
-// SetEmit installs the callback that receives "message repeated N times"
-// summary records when a suppressed burst's window expires without the
-// message recurring. The pipeline wires this automatically (see
-// EmittingFilter); the callback runs outside Dedup's lock.
-func (d *Dedup) SetEmit(emit func(Record)) {
-	d.mu.Lock()
-	d.emit = emit
-	d.mu.Unlock()
-	d.emitSet.Store(emit != nil)
-}
-
-// Process implements Stage with the same semantics as Apply. The first
-// call retains emit for summary delivery from Apply/Sweep/Close (the
-// pipeline passes a stable closure, see Stage).
-func (d *Dedup) Process(r Record, emit func(Record)) (Record, bool) {
-	if emit != nil && !d.emitSet.Load() {
-		d.SetEmit(emit)
-	}
-	return d.Apply(r)
-}
-
 // Close implements the Stage close lifecycle hook: it flushes every
 // tracked burst — all entries expire as of now+Window — so suppressed
 // repeats are summarized at pipeline shutdown rather than lost.
@@ -117,12 +99,20 @@ func (d *Dedup) Close() {
 	d.Sweep(d.now().Add(d.Window))
 }
 
-// Apply implements Filter. The first occurrence passes; duplicates inside
-// the window are dropped; the first occurrence after the window passes
-// with a Meta["repeated"] annotation carrying the suppressed count. At
-// most once per window Apply also sweeps the tracking map, evicting
-// expired entries and emitting summaries for bursts that never recurred.
-func (d *Dedup) Apply(r Record) (Record, bool) {
+// Process implements Stage. The first occurrence passes; duplicates
+// inside the window are dropped; the first occurrence after the window
+// passes with a Meta["repeated"] annotation carrying the suppressed
+// count. At most once per window Process also sweeps the tracking map,
+// evicting expired entries and emitting summaries for bursts that never
+// recurred. The summaries of expired bursts go to emit, which runs
+// outside Dedup's lock.
+func (d *Dedup) Process(r Record, emit func(Record)) (Record, bool) {
+	if emit != nil && !d.emitSet.Load() {
+		d.mu.Lock()
+		d.emit = emit
+		d.mu.Unlock()
+		d.emitSet.Store(true)
+	}
 	if r.Msg == nil {
 		return r, false
 	}
@@ -168,7 +158,7 @@ func (d *Dedup) Apply(r Record) (Record, bool) {
 
 // Sweep evicts every entry whose window has expired as of now, emitting
 // summary records for bursts that absorbed duplicates, and returns the
-// number of entries evicted. Apply runs the same sweep lazily at most
+// number of entries evicted. Process runs the same sweep lazily at most
 // once per window; call Sweep directly to bound the map during lulls
 // (e.g. from a ticker) or to flush at shutdown with a far-future now.
 func (d *Dedup) Sweep(now time.Time) int {
@@ -236,7 +226,5 @@ func (d *Dedup) Tracked() int {
 	return len(d.last)
 }
 
-var _ Filter = (*Dedup)(nil)
-var _ EmittingFilter = (*Dedup)(nil)
 var _ SweepingStage = (*Dedup)(nil)
 var _ ClosingStage = (*Dedup)(nil)

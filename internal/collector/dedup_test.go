@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -25,7 +26,7 @@ func TestDedupEvictsExpiredEntries(t *testing.T) {
 	// 100 distinct messages, none repeated.
 	for i := 0; i < 100; i++ {
 		r := record("cn1", "kernel", "unique message "+strings.Repeat("x", i), syslog.Info)
-		if _, keep := d.Apply(r); !keep {
+		if _, keep := d.Process(r, nil); !keep {
 			t.Fatal("distinct messages must pass")
 		}
 	}
@@ -35,7 +36,7 @@ func TestDedupEvictsExpiredEntries(t *testing.T) {
 	// After the window, the next Apply's lazy sweep must evict them all:
 	// without eviction every unique triple ever seen lives forever.
 	*clock = clock.Add(2 * time.Second)
-	if _, keep := d.Apply(record("cn2", "sshd", "fresh", syslog.Info)); !keep {
+	if _, keep := d.Process(record("cn2", "sshd", "fresh", syslog.Info), nil); !keep {
 		t.Fatal("fresh message must pass")
 	}
 	if got := d.Tracked(); got != 1 {
@@ -46,15 +47,15 @@ func TestDedupEvictsExpiredEntries(t *testing.T) {
 func TestDedupSweepEmitsExpiredBurstSummary(t *testing.T) {
 	d, clock := fakeClockDedup(time.Second)
 	var emitted []Record
-	d.SetEmit(func(r Record) { emitted = append(emitted, r) })
+	emit := func(r Record) { emitted = append(emitted, r) }
 
 	r := record("cn1", "ipmiseld", "temperature above threshold", syslog.Critical)
-	if _, keep := d.Apply(r); !keep {
+	if _, keep := d.Process(r, emit); !keep {
 		t.Fatal("first occurrence must pass")
 	}
 	for i := 0; i < 7; i++ {
 		*clock = clock.Add(50 * time.Millisecond)
-		if _, keep := d.Apply(r); keep {
+		if _, keep := d.Process(r, emit); keep {
 			t.Fatal("duplicate inside window must drop")
 		}
 	}
@@ -81,18 +82,18 @@ func TestDedupSweepEmitsExpiredBurstSummary(t *testing.T) {
 	}
 }
 
-func TestDedupLazySweepEmitsViaApply(t *testing.T) {
+func TestDedupLazySweepEmitsViaProcess(t *testing.T) {
 	d, clock := fakeClockDedup(time.Second)
 	var emitted []Record
-	d.SetEmit(func(r Record) { emitted = append(emitted, r) })
+	emit := func(r Record) { emitted = append(emitted, r) }
 
 	burst := record("cn1", "kernel", "ecc error", syslog.Error)
-	d.Apply(burst)
+	d.Process(burst, emit)
 	*clock = clock.Add(10 * time.Millisecond)
-	d.Apply(burst) // suppressed
+	d.Process(burst, emit) // suppressed
 	// A different message two windows later triggers the lazy sweep.
 	*clock = clock.Add(3 * time.Second)
-	d.Apply(record("cn9", "sshd", "login", syslog.Info))
+	d.Process(record("cn9", "sshd", "login", syslog.Info), emit)
 	if len(emitted) != 1 || emitted[0].Meta["repeated"] != "1" {
 		t.Fatalf("lazy sweep emitted = %+v, want one record with repeated=1", emitted)
 	}
@@ -104,14 +105,14 @@ func TestDedupRecurrenceStillAnnotates(t *testing.T) {
 	// for the same burst.
 	d, clock := fakeClockDedup(time.Second)
 	var emitted []Record
-	d.SetEmit(func(r Record) { emitted = append(emitted, r) })
+	emit := func(r Record) { emitted = append(emitted, r) }
 
 	r := record("cn1", "kernel", "same", syslog.Warning)
-	d.Apply(r)
+	d.Process(r, emit)
 	*clock = clock.Add(100 * time.Millisecond)
-	d.Apply(r) // suppressed
+	d.Process(r, emit) // suppressed
 	*clock = clock.Add(time.Second)
-	out, keep := d.Apply(r)
+	out, keep := d.Process(r, emit)
 	if !keep || out.Meta["repeated"] != "1" {
 		t.Fatalf("recurrence = keep=%v meta=%v, want annotated pass", keep, out.Meta)
 	}
@@ -139,8 +140,8 @@ func TestDedupPipelineEmitsSummariesDownstream(t *testing.T) {
 
 	sink := &MemorySink{}
 	p := &Pipeline{
-		Sink:    sink,
-		Filters: []Filter{d, tagged},
+		Sink:   sink,
+		Stages: []Stage{d, tagged},
 	}
 	runPipeline(t, p, func(ch chan<- Record) {
 		burst := record("cn7", "ipmiseld", "temperature above threshold", syslog.Critical)
@@ -186,11 +187,11 @@ func TestDedupMetrics(t *testing.T) {
 	d, clock := fakeClockDedup(time.Second)
 	d.Metrics = reg
 	r := record("cn1", "kernel", "same", syslog.Warning)
-	d.Apply(r)
+	d.Process(r, nil)
 	*clock = clock.Add(time.Millisecond)
-	d.Apply(r)
+	d.Process(r, nil)
 	*clock = clock.Add(time.Millisecond)
-	d.Apply(r)
+	d.Process(r, nil)
 	*clock = clock.Add(2 * time.Second)
 	d.Sweep(*clock)
 
@@ -214,10 +215,10 @@ func TestPipelineMetricsMatchStats(t *testing.T) {
 	reg := obs.NewRegistry()
 	sink := &MemorySink{}
 	p := &Pipeline{
-		Sink:      sink,
-		Metrics:   reg,
-		BatchSize: 4,
-		Filters:   []Filter{SeverityFilter(syslog.Warning)},
+		Sink:    sink,
+		Metrics: reg,
+		Stages:  []Stage{SeverityFilter(syslog.Warning)},
+		Config:  &Config{BatchSize: 4},
 	}
 	runPipeline(t, p, func(ch chan<- Record) {
 		for i := 0; i < 20; i++ {
@@ -254,5 +255,60 @@ func TestPipelineMetricsMatchStats(t *testing.T) {
 	if !strings.Contains(out, "pipeline_batch_size_count") ||
 		!strings.Contains(out, "pipeline_flush_seconds_count") {
 		t.Errorf("histograms missing from exposition:\n%s", out)
+	}
+}
+
+// TestDedupCloseSummariesSurviveShutdown holds more pending bursts than
+// the queue is deep, cancels, and requires every burst summary Close
+// emits to reach the sink: stage emissions block on the queue the
+// flushers are still draining instead of racing the cancelled context.
+func TestDedupCloseSummariesSurviveShutdown(t *testing.T) {
+	const bursts = 200
+	var plain, summaries atomic.Int64
+	sink := SinkFunc(func(_ context.Context, batch []Record) error {
+		time.Sleep(100 * time.Microsecond) // keep the queue full at drain
+		for _, r := range batch {
+			if r.Meta["repeated"] == "1" {
+				summaries.Add(1)
+			} else {
+				plain.Add(1)
+			}
+		}
+		return nil
+	})
+	p := &Pipeline{
+		Source: sourceFunc(func(ctx context.Context, emit func(Record) error) error {
+			for i := 0; i < bursts; i++ {
+				r := record("cn1", "kernel", fmt.Sprintf("burst %d", i), syslog.Warning)
+				for j := 0; j < 2; j++ {
+					if err := emit(r); err != nil {
+						return err
+					}
+				}
+			}
+			<-ctx.Done()
+			return ctx.Err()
+		}),
+		Stages: []Stage{NewDedup(time.Minute)},
+		Sink:   sink,
+		Config: &Config{BatchSize: 1, FlushInterval: time.Millisecond, QueueDepth: 4},
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- p.Run(ctx) }()
+	if !waitUntil(10*time.Second, func() bool { return plain.Load() == bursts }) {
+		t.Fatalf("only %d of %d first occurrences flushed", plain.Load(), bursts)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	s := p.Stats()
+	if s.Dropped != 0 || summaries.Load() != bursts {
+		t.Errorf("dropped %d, %d of %d summaries reached the sink", s.Dropped, summaries.Load(), bursts)
+	}
+	if s.Ingested != 3*bursts || s.Ingested != s.Filtered+s.Flushed+s.Dropped+s.Spooled {
+		t.Errorf("accounting = %+v, want Ingested %d and the invariant", s, 3*bursts)
 	}
 }

@@ -50,8 +50,7 @@ func (s *SyslogSource) Ready() <-chan struct{} { return s.ready }
 // listeners shut down instead of parsing records nobody will take. The
 // listener's messages are pooled, so every retained one is Leased: the
 // pipeline's Release hook (when configured) recycles it after final
-// disposition, and an unhooked pipeline simply lets it fall to the GC
-// exactly as Detach used to.
+// disposition, and an unhooked pipeline simply lets it fall to the GC.
 func (s *SyslogSource) Run(ctx context.Context, emit func(Record) error) error {
 	return s.run(ctx, syslog.HandlerFunc(func(m *syslog.Message) {
 		if err := emit(Record{Tag: s.Tag, Time: m.Timestamp, Msg: m.Lease()}); err != nil {
@@ -156,31 +155,31 @@ func (s *ChannelSource) Run(ctx context.Context, emit func(Record) error) error 
 
 // SeverityFilter drops records less severe than Max (remember: higher
 // numeric severity = less severe).
-func SeverityFilter(max syslog.Severity) Filter {
-	return FilterFunc(func(r Record) (Record, bool) {
+func SeverityFilter(max syslog.Severity) FilterFunc {
+	return func(r Record) (Record, bool) {
 		if r.Msg == nil {
 			return r, false
 		}
 		return r, r.Msg.Severity <= max
-	})
+	}
 }
 
 // AppFilter keeps only records from the given applications.
-func AppFilter(apps ...string) Filter {
+func AppFilter(apps ...string) FilterFunc {
 	set := make(map[string]bool, len(apps))
 	for _, a := range apps {
 		set[a] = true
 	}
-	return FilterFunc(func(r Record) (Record, bool) {
+	return func(r Record) (Record, bool) {
 		return r, r.Msg != nil && set[r.Msg.AppName]
-	})
+	}
 }
 
 // TopologyEnricher annotates records with rack/arch metadata looked up by
 // hostname — the positional context §4.5.2 needs. lookup returns
 // (rack, arch, ok).
-func TopologyEnricher(lookup func(host string) (rack, arch string, ok bool)) Filter {
-	return FilterFunc(func(r Record) (Record, bool) {
+func TopologyEnricher(lookup func(host string) (rack, arch string, ok bool)) FilterFunc {
+	return func(r Record) (Record, bool) {
 		if r.Msg == nil {
 			return r, false
 		}
@@ -188,7 +187,7 @@ func TopologyEnricher(lookup func(host string) (rack, arch string, ok bool)) Fil
 			r = r.WithMetas("rack", rack, "arch", arch)
 		}
 		return r, true
-	})
+	}
 }
 
 // StoreSink writes batches into a Tivan store, mapping syslog fields and

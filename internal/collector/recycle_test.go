@@ -65,13 +65,13 @@ func TestPipelineReleaseHook(t *testing.T) {
 	released := 0
 	ch := make(chan Record, 16)
 	p := &Pipeline{
-		Source:    &ChannelSource{Ch: ch},
-		Sink:      &StoreSink{Store: st},
-		BatchSize: 4,
+		Source: &ChannelSource{Ch: ch},
+		Sink:   &StoreSink{Store: st},
 		Release: func(r Record) {
 			released++
 			syslog.Recycle(r.Msg) // heap messages: no-op, nil-safe
 		},
+		Config: &Config{BatchSize: 4},
 	}
 	done := make(chan error, 1)
 	go func() { done <- p.Run(context.Background()) }()

@@ -633,30 +633,6 @@ func TestSyslogSourceStopsOnEmitError(t *testing.T) {
 	}
 }
 
-// legacyMemorySink implements the deprecated LegacySink interface.
-type legacyMemorySink struct {
-	inner MemorySink
-}
-
-func (s *legacyMemorySink) Write(batch []Record) error {
-	return s.inner.Write(context.Background(), batch)
-}
-
-// TestAdaptSinkBridgesLegacySinks checks pre-context sinks still slot
-// into the pipeline through the AdaptSink shim.
-func TestAdaptSinkBridgesLegacySinks(t *testing.T) {
-	legacy := &legacyMemorySink{}
-	p := &Pipeline{Sink: AdaptSink(legacy), BatchSize: 4, FlushInterval: time.Millisecond}
-	runPipeline(t, p, func(ch chan<- Record) {
-		for i := 0; i < 10; i++ {
-			ch <- record("cn10", "kernel", fmt.Sprintf("legacy %d", i), syslog.Info)
-		}
-	})
-	if got := len(legacy.inner.Records()); got != 10 {
-		t.Fatalf("legacy sink got %d records, want 10", got)
-	}
-}
-
 // TestConfigValidateReturnsAllViolations checks Validate reports every
 // problem in one error instead of stopping at the first.
 func TestConfigValidateReturnsAllViolations(t *testing.T) {
@@ -698,14 +674,16 @@ func TestConfigValidateReturnsAllViolations(t *testing.T) {
 	}
 }
 
-// TestConfigLegacyFieldFallback checks the deprecated loose Pipeline
-// fields still work (Config zero fields fall back to them) and that an
-// explicit Config wins over loose fields.
-func TestConfigLegacyFieldFallback(t *testing.T) {
+// TestConfigResolution checks how a pipeline resolves its Config: set
+// fields are honored, unset ones (and a nil Config) get the documented
+// defaults, and a negative field is rejected before Run starts anything.
+func TestConfigResolution(t *testing.T) {
 	p := &Pipeline{
 		Source: &ChannelSource{}, Sink: &MemorySink{},
-		BatchSize: 7, FlushInterval: 9 * time.Millisecond, MaxRetries: 2,
-		RetryBackoff: 3 * time.Millisecond, QueueDepth: 5, FlushWorkers: 2,
+		Config: &Config{
+			BatchSize: 7, FlushInterval: 9 * time.Millisecond, MaxRetries: 2,
+			RetryBackoff: 3 * time.Millisecond, QueueDepth: 5, FlushWorkers: 2,
+		},
 	}
 	if err := p.prepare(); err != nil {
 		t.Fatal(err)
@@ -714,47 +692,27 @@ func TestConfigLegacyFieldFallback(t *testing.T) {
 	if cfg.BatchSize != 7 || cfg.FlushInterval != 9*time.Millisecond ||
 		cfg.MaxRetries != 2 || cfg.RetryBackoff != 3*time.Millisecond ||
 		cfg.QueueDepth != 5 || cfg.FlushWorkers != 2 {
-		t.Errorf("legacy fields not honored: %+v", cfg)
+		t.Errorf("Config fields not honored: %+v", cfg)
 	}
-	// Fields the legacy API never had get their documented defaults.
 	if cfg.WriteTimeout != 30*time.Second || cfg.BreakerThreshold != 5 || cfg.Seed != 1 {
 		t.Errorf("defaults not filled: %+v", cfg)
 	}
 
-	p2 := &Pipeline{
-		Source: &ChannelSource{}, Sink: &MemorySink{},
-		BatchSize: 7,
-		Config:    &Config{BatchSize: 11},
-	}
+	p2 := &Pipeline{Source: &ChannelSource{}, Sink: &MemorySink{}}
 	if err := p2.prepare(); err != nil {
 		t.Fatal(err)
 	}
-	if p2.cfg.BatchSize != 11 {
-		t.Errorf("Config.BatchSize = %d, want 11 (Config wins over loose fields)", p2.cfg.BatchSize)
+	if p2.cfg.BatchSize != 128 || p2.cfg.FlushInterval != 250*time.Millisecond ||
+		p2.cfg.MaxRetries != 3 || p2.cfg.RetryBackoff != 10*time.Millisecond ||
+		p2.cfg.QueueDepth != 1024 || p2.cfg.FlushWorkers != 1 {
+		t.Errorf("nil Config not defaulted: %+v", p2.cfg)
 	}
 
-	// Negative loose fields mean "unset" under the pre-Config API (the
-	// old defaults() clamped them): they must resolve to the defaults,
-	// not be rejected by Validate.
 	p3 := &Pipeline{
-		Source: &ChannelSource{}, Sink: &MemorySink{},
-		BatchSize: -1, FlushInterval: -time.Second, MaxRetries: -2,
-		RetryBackoff: -time.Millisecond, QueueDepth: -5, FlushWorkers: -1,
-	}
-	if err := p3.prepare(); err != nil {
-		t.Fatalf("negative legacy fields must fall back to defaults, got error: %v", err)
-	}
-	if p3.cfg.BatchSize != 128 || p3.cfg.FlushInterval != 250*time.Millisecond ||
-		p3.cfg.MaxRetries != 3 || p3.cfg.RetryBackoff != 10*time.Millisecond ||
-		p3.cfg.QueueDepth != 1024 || p3.cfg.FlushWorkers != 1 {
-		t.Errorf("negative legacy fields not defaulted: %+v", p3.cfg)
-	}
-	// A negative field set explicitly on Config stays an error.
-	p4 := &Pipeline{
 		Source: &ChannelSource{}, Sink: &MemorySink{},
 		Config: &Config{BatchSize: -1},
 	}
-	if err := p4.prepare(); err == nil {
+	if err := p3.prepare(); err == nil {
 		t.Error("negative Config.BatchSize must be rejected by Validate")
 	}
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // lifecycleStage is a Stage exercising every optional hook: it retains
-// the pipeline's emit (SetEmit), counts Sweep calls and emits one record
-// per sweep, and emits one final record from Close.
+// the emit function Process receives, counts Sweep calls and emits one
+// record per sweep, and emits one final record from Close.
 type lifecycleStage struct {
 	mu     sync.Mutex
 	emit   func(Record)
@@ -18,12 +18,11 @@ type lifecycleStage struct {
 	closed bool
 }
 
-func (s *lifecycleStage) Process(r Record, _ func(Record)) (Record, bool) { return r, true }
-
-func (s *lifecycleStage) SetEmit(emit func(Record)) {
+func (s *lifecycleStage) Process(r Record, emit func(Record)) (Record, bool) {
 	s.mu.Lock()
 	s.emit = emit
 	s.mu.Unlock()
+	return r, true
 }
 
 func (s *lifecycleStage) Sweep(_ time.Time) int {
@@ -193,53 +192,5 @@ func TestStageSweepDisabled(t *testing.T) {
 	defer stage.mu.Unlock()
 	if stage.sweeps != 0 {
 		t.Errorf("ticker ran %d sweeps with SweepInterval < 0", stage.sweeps)
-	}
-}
-
-// TestStageFilterInterop: deprecated Filters run ahead of Stages in one
-// chain — a filter-dropped record never reaches the stages, a
-// filter-enriched record arrives transformed, and both Filtered counts
-// land in the same bucket.
-func TestStageFilterInterop(t *testing.T) {
-	var stageSaw atomic.Int64
-	probe := StageFunc(func(r Record, _ func(Record)) (Record, bool) {
-		if r.Meta["mark"] != "yes" {
-			t.Errorf("stage saw record without the filter's enrichment: %+v", r)
-		}
-		stageSaw.Add(1)
-		return r, true
-	})
-	p := &Pipeline{
-		Source: sourceFunc(func(_ context.Context, emit func(Record) error) error {
-			for i := 0; i < 10; i++ {
-				tag := "keep"
-				if i%2 == 0 {
-					tag = "drop"
-				}
-				if err := emit(Record{Tag: tag}); err != nil {
-					return err
-				}
-			}
-			return nil
-		}),
-		Filters: []Filter{FilterFunc(func(r Record) (Record, bool) {
-			if r.Tag == "drop" {
-				return r, false
-			}
-			return r.WithMeta("mark", "yes"), true
-		})},
-		Stages: []Stage{probe},
-		Sink:   SinkFunc(func(_ context.Context, _ []Record) error { return nil }),
-		Config: &Config{BatchSize: 4, FlushInterval: time.Millisecond},
-	}
-	if err := p.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := stageSaw.Load(); got != 5 {
-		t.Errorf("stage saw %d records, want 5 survivors", got)
-	}
-	s := p.Stats()
-	if s.Filtered != 5 || s.Flushed != 5 {
-		t.Errorf("accounting = %+v, want 5 filtered, 5 flushed", s)
 	}
 }

@@ -219,10 +219,9 @@ func runCachedService(t *testing.T, tc *TextClassifier, recs []collector.Record,
 	}
 	ch := make(chan collector.Record)
 	p := &collector.Pipeline{
-		Source:       &collector.ChannelSource{Ch: ch},
-		Sink:         svc,
-		BatchSize:    32,
-		FlushWorkers: 1,
+		Source: &collector.ChannelSource{Ch: ch},
+		Sink:   svc,
+		Config: &collector.Config{BatchSize: 32, FlushWorkers: 1},
 	}
 	done := make(chan error, 1)
 	go func() { done <- p.Run(context.Background()) }()

@@ -162,9 +162,9 @@ func TestServiceEndToEnd(t *testing.T) {
 	g := loggen.NewGenerator(99)
 	ch := make(chan collector.Record)
 	p := &collector.Pipeline{
-		Source:    &collector.ChannelSource{Ch: ch},
-		Sink:      svc,
-		BatchSize: 16,
+		Source: &collector.ChannelSource{Ch: ch},
+		Sink:   svc,
+		Config: &collector.Config{BatchSize: 16},
 	}
 	done := make(chan error, 1)
 	go func() { done <- p.Run(context.Background()) }()

@@ -12,7 +12,7 @@ import (
 // on "Unimportant", administrators should be able to "blacklist specific
 // kinds of messages" with the old minimum-edit-distance machinery at a
 // *lower* threshold, dropping known noise before it ever reaches the
-// classifier. It implements collector.Filter, so it slots ahead of the
+// classifier. It implements collector.Stage, so it slots ahead of the
 // classification service in the pipeline.
 type NoiseFilter struct {
 	bk      *bucket.Bucketer
@@ -53,8 +53,8 @@ func (f *NoiseFilter) Matches(text string) bool {
 	return matched
 }
 
-// Apply implements collector.Filter.
-func (f *NoiseFilter) Apply(r collector.Record) (collector.Record, bool) {
+// Process implements collector.Stage.
+func (f *NoiseFilter) Process(r collector.Record, _ func(collector.Record)) (collector.Record, bool) {
 	if r.Msg == nil {
 		return r, false
 	}
@@ -65,4 +65,4 @@ func (f *NoiseFilter) Apply(r collector.Record) (collector.Record, bool) {
 	return r, true
 }
 
-var _ collector.Filter = (*NoiseFilter)(nil)
+var _ collector.Stage = (*NoiseFilter)(nil)

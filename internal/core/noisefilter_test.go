@@ -27,22 +27,22 @@ func TestNoiseFilterDropsVariantsOnly(t *testing.T) {
 	}
 
 	// A near variant (two digits differ) is swallowed.
-	if _, keep := f.Apply(noiseRecord("slurm_rpc_node_registration complete for cn007 usec=129")); keep {
+	if _, keep := f.Process(noiseRecord("slurm_rpc_node_registration complete for cn007 usec=129"), nil); keep {
 		t.Error("close variant not dropped")
 	}
 	// A genuinely different message passes, even on the same topic.
-	if _, keep := f.Apply(noiseRecord("slurmd version 22.05.3 differs, please update slurm")); !keep {
+	if _, keep := f.Process(noiseRecord("slurmd version 22.05.3 differs, please update slurm"), nil); !keep {
 		t.Error("unrelated message dropped")
 	}
 	// Issue messages pass untouched.
-	if _, keep := f.Apply(noiseRecord("CPU 3 temperature above threshold, cpu clock throttled")); !keep {
+	if _, keep := f.Process(noiseRecord("CPU 3 temperature above threshold, cpu clock throttled"), nil); !keep {
 		t.Error("thermal message dropped by noise filter")
 	}
 	if f.Dropped() != 1 {
 		t.Errorf("dropped = %d", f.Dropped())
 	}
 	// Nil message records are rejected (not counted as noise drops).
-	if _, keep := f.Apply(collector.Record{}); keep {
+	if _, keep := f.Process(collector.Record{}, nil); keep {
 		t.Error("nil message kept")
 	}
 }
@@ -80,7 +80,7 @@ func TestNoiseFilterInPipeline(t *testing.T) {
 	}
 	kept := 0
 	for _, r := range records {
-		if out, keep := f.Apply(r); keep {
+		if out, keep := f.Process(r, nil); keep {
 			kept++
 			if err := svc.Write(context.Background(), []collector.Record{out}); err != nil {
 				t.Fatal(err)

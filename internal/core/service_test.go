@@ -43,10 +43,9 @@ func runService(t *testing.T, tc *TextClassifier, recs []collector.Record, worke
 	}
 	ch := make(chan collector.Record)
 	p := &collector.Pipeline{
-		Source:       &collector.ChannelSource{Ch: ch},
-		Sink:         svc,
-		BatchSize:    32,
-		FlushWorkers: flushWorkers,
+		Source: &collector.ChannelSource{Ch: ch},
+		Sink:   svc,
+		Config: &collector.Config{BatchSize: 32, FlushWorkers: flushWorkers},
 	}
 	done := make(chan error, 1)
 	go func() { done <- p.Run(context.Background()) }()

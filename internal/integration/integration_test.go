@@ -1,23 +1,25 @@
 // Package integration exercises the whole reproduction end to end over
-// real sockets and HTTP: workload generator -> syslog relay -> collector
-// pipeline (topology enrichment + dedup) -> classification service ->
-// Tivan store -> dashboard views and store API -> LLM status summary.
+// real sockets and HTTP, through the one wiring both binaries run
+// (internal/app): workload generator -> syslog relay -> collector pipeline
+// (dedup + inventory enrichment) -> classification service -> Tivan store
+// -> store API, dashboard views and LLM status summary -> shutdown
+// snapshot.
 package integration
 
 import (
 	"context"
 	"encoding/json"
-	"fmt"
+	"io"
 	"net/http"
-	"net/http/httptest"
 	"net/url"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"hetsyslog/internal/app"
 	"hetsyslog/internal/collector"
 	"hetsyslog/internal/core"
-	"hetsyslog/internal/llm"
 	"hetsyslog/internal/loggen"
 	"hetsyslog/internal/monitor"
 	"hetsyslog/internal/store"
@@ -42,41 +44,37 @@ func TestFullSystem(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// --- Service + store + alerts. ---
-	st := store.New(4)
+	// --- The deployment: classifier + embedded store. ---
 	alertCh := make(chan monitor.Alert, 1024)
-	alerts := &monitor.AlertManager{Notifier: monitor.NotifierFunc(func(a monitor.Alert) {
-		select {
-		case alertCh <- a:
-		default:
-		}
-	})}
-	svc := &core.Service{Classifier: clf, Store: st, Alerts: alerts}
-
-	cluster := gen.Cluster
-	enrich := collector.TopologyEnricher(func(host string) (string, string, bool) {
-		n, ok := cluster.Lookup(host)
-		if !ok {
-			return "", "", false
-		}
-		return fmt.Sprintf("r%d", n.Rack), string(n.Arch), true
+	snap := filepath.Join(t.TempDir(), "snap.jsonl")
+	a, err := app.New(app.Config{
+		Name: "integration", Log: io.Discard,
+		TCPAddr: "127.0.0.1:0", HTTPAddr: "127.0.0.1:0",
+		Shards: 4, DataFile: snap,
+		Classifier: clf, Inventory: gen.Cluster, Seed: 1,
+		Notifier: monitor.NotifierFunc(func(al monitor.Alert) {
+			select {
+			case alertCh <- al:
+			default:
+			}
+		}),
+		Pipeline: collector.Config{BatchSize: 32, FlushInterval: 10 * time.Millisecond},
 	})
-
-	src := collector.NewSyslogSource("", "127.0.0.1:0")
-	pipe := &collector.Pipeline{
-		Source:    src,
-		Filters:   []collector.Filter{enrich},
-		Sink:      svc,
-		BatchSize: 32, FlushInterval: 10 * time.Millisecond,
+	if err != nil {
+		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	pipeDone := make(chan error, 1)
-	go func() { pipeDone <- pipe.Run(ctx) }()
-	<-src.Ready()
+	runDone := make(chan error, 1)
+	go func() { runDone <- a.Run(ctx) }()
+	select {
+	case <-a.Source.Ready():
+	case err := <-runDone:
+		t.Fatalf("app stopped before listening: %v", err)
+	}
 
 	// --- Relay in front, as in §4.2. ---
-	down, err := syslog.DialSender("tcp", src.BoundTCP, syslog.FormatRFC5424)
+	down, err := syslog.DialSender("tcp", a.Source.BoundTCP, syslog.FormatRFC5424)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,26 +97,18 @@ func TestFullSystem(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Everything the listener parsed has been flushed or deduplicated.
+	received := a.Registry.Counter("syslog_received_total", "")
 	deadline := time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) {
-		if c, _ := svc.Counts(); c >= total {
+		ps := a.Pipeline.Stats()
+		if received.Value() == total && ps.Ingested >= total && ps.Flushed+ps.Filtered == ps.Ingested {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	cancel()
-	if err := <-pipeDone; err != nil {
-		t.Fatal(err)
-	}
-	classified, actionable := svc.Counts()
-	if classified != total {
-		t.Fatalf("classified = %d, want %d", classified, total)
-	}
-	if actionable == 0 {
-		t.Fatal("no actionable classifications")
-	}
-	if st.Count() != total {
-		t.Fatalf("store count = %d", st.Count())
+	if got := received.Value(); got != total {
+		t.Fatalf("listener received %d, want %d", got, total)
 	}
 	select {
 	case <-alertCh:
@@ -126,10 +116,9 @@ func TestFullSystem(t *testing.T) {
 		t.Error("no alerts delivered")
 	}
 
-	// --- Store HTTP API. ---
-	apiSrv := httptest.NewServer(st.Handler())
-	defer apiSrv.Close()
-	resp, err := http.Post(apiSrv.URL+"/search", "application/json",
+	// --- Store HTTP API, on the address the app serves. ---
+	base := "http://" + a.BoundHTTP
+	resp, err := http.Post(base+"/search", "application/json",
 		strings.NewReader(`{"query":{"term":{"field":"category","value":"Thermal Issue"}},"size":5}`))
 	if err != nil {
 		t.Fatal(err)
@@ -146,50 +135,59 @@ func TestFullSystem(t *testing.T) {
 	}
 
 	// --- Dashboard views. ---
-	dash := &monitor.Dashboard{Store: st, Archs: func(arch string) (int, bool) {
-		n := len(cluster.NodesWithArch(loggen.Arch(arch)))
-		return n, n > 0
-	}}
-	dashSrv := httptest.NewServer(dash.Handler())
-	defer dashSrv.Close()
-
 	var cats []store.TermBucket
-	getJSON(t, dashSrv.URL+"/views/categories", &cats)
+	getJSON(t, base+"/views/categories", &cats)
 	if len(cats) < 3 {
 		t.Errorf("dashboard categories = %+v", cats)
 	}
 	var racks []monitor.RackReport
-	getJSON(t, dashSrv.URL+"/views/positional?category="+url.QueryEscape(string(taxonomy.ThermalIssue)), &racks)
+	getJSON(t, base+"/views/positional?category="+url.QueryEscape(string(taxonomy.ThermalIssue)), &racks)
 	if len(racks) == 0 {
 		t.Error("no rack reports; topology enrichment broken?")
 	}
 
 	// --- LLM status summary over the same store. ---
-	s := llm.NewSummarizer(llm.Falcon40B(), llm.A100Node(), 1)
-	var statuses []llm.NodeStatus
-	for _, nb := range st.Terms(store.MatchAll{}, "hostname", 5) {
-		ns := llm.NodeStatus{Node: nb.Value, Counts: map[taxonomy.Category]int{}}
-		for _, cb := range st.Terms(store.Term{Field: "hostname", Value: nb.Value}, "category", 0) {
-			ns.Counts[taxonomy.Category(cb.Value)] = cb.Count
-		}
-		statuses = append(statuses, ns)
+	var summary struct {
+		Summary string  `json:"summary"`
+		Latency float64 `json:"modelled_latency_sec"`
 	}
-	summary, lat := s.SummarizeSystem(statuses)
-	if summary == "" || lat <= 0 {
+	getJSON(t, base+"/views/summary", &summary)
+	if summary.Summary == "" || summary.Latency <= 0 {
 		t.Error("summarizer produced nothing")
 	}
 
-	// --- Persistence round trip of the live store. ---
-	dir := t.TempDir()
-	if err := st.SaveFile(dir + "/snap.jsonl"); err != nil {
+	// --- Shutdown: drain, then snapshot. ---
+	cancel()
+	if err := <-runDone; err != nil {
 		t.Fatal(err)
 	}
+	ps := a.Pipeline.Stats()
+	if ps.Dropped != 0 || ps.Spooled != 0 || ps.Ingested != ps.Filtered+ps.Flushed {
+		t.Fatalf("pipeline accounting after shutdown: %+v", ps)
+	}
+	// Dedup stands in front of classification: every message sent was
+	// either classified or suppressed as a repeat, and each suppressed
+	// burst came back as one summary record.
+	classified, actionable := a.Service.Counts()
+	summaries := ps.Ingested - total
+	if classified != ps.Flushed || classified != total-ps.Filtered+summaries {
+		t.Fatalf("classified = %d with %d filtered and %d summaries of %d sent (stats %+v)",
+			classified, ps.Filtered, summaries, total, ps)
+	}
+	if actionable == 0 {
+		t.Fatal("no actionable classifications")
+	}
+	if int64(a.Store.Count()) != classified {
+		t.Fatalf("store count = %d, classified %d", a.Store.Count(), classified)
+	}
+
+	// --- The snapshot Run wrote reloads to the same store. ---
 	st2 := store.New(4)
-	if err := st2.LoadFile(dir + "/snap.jsonl"); err != nil {
+	if err := st2.LoadFile(snap); err != nil {
 		t.Fatal(err)
 	}
-	if st2.Count() != st.Count() {
-		t.Errorf("snapshot round trip: %d != %d", st2.Count(), st.Count())
+	if st2.Count() != a.Store.Count() {
+		t.Errorf("snapshot round trip: %d != %d", st2.Count(), a.Store.Count())
 	}
 }
 

@@ -25,7 +25,7 @@ type batchGather struct {
 func (g *batchGather) HandleSyslog(m *Message) {
 	g.mu.Lock()
 	g.singles++
-	g.msgs = append(g.msgs, m.Detach())
+	g.msgs = append(g.msgs, m.Lease())
 	g.mu.Unlock()
 }
 
@@ -33,7 +33,7 @@ func (g *batchGather) HandleSyslogBatch(ms []*Message) {
 	g.mu.Lock()
 	g.batches = append(g.batches, len(ms))
 	for _, m := range ms {
-		g.msgs = append(g.msgs, m.Detach())
+		g.msgs = append(g.msgs, m.Lease())
 	}
 	g.mu.Unlock()
 }
@@ -282,19 +282,35 @@ func TestFrameBuffered(t *testing.T) {
 	}
 }
 
-// TestPutMessageSkipsDetached: a detached message must never re-enter the
-// pool, or its aliased strings could be overwritten by a later parse.
-func TestPutMessageSkipsDetached(t *testing.T) {
-	m := &Message{pooled: true}
-	m.Detach()
-	if m.pooled {
-		t.Fatal("Detach did not clear pooled")
-	}
-	putMessage(m) // must be a no-op
-	// Drain the pool: m must not come back out.
-	for i := 0; i < 64; i++ {
-		if getMessage() == m {
-			t.Fatal("detached message re-entered the pool")
+// TestDeliverPoolsOnlyUnleased: after the handler returns, deliver pools
+// the messages the handler left alone and never a leased one, whose
+// aliased strings a later parse would overwrite. It decides from the
+// batch entries Lease cleared, so a lease already recycled elsewhere
+// (pooled flag set again) is still not pooled a second time.
+func TestDeliverPoolsOnlyUnleased(t *testing.T) {
+	leased, left := getMessage(), getMessage()
+	batch := []*Message{leased, left}
+	srv := &Server{Handler: HandlerFunc(func(m *Message) {
+		if m == leased {
+			m.Lease()
+			Recycle(m) // the new owner is done before the handler returns
 		}
+	})}
+	srv.deliver(batch)
+	if batch[0] != nil || batch[1] != left {
+		t.Fatalf("batch after deliver = %v, want the leased entry cleared only", batch)
+	}
+	if leased.slot != nil || left.slot != nil {
+		t.Error("deliver left a slot pointer behind")
+	}
+	// Recycle pooled the lease once; deliver must not have pooled it again.
+	seen := 0
+	for i := 0; i < 64; i++ {
+		if getMessage() == leased {
+			seen++
+		}
+	}
+	if seen > 1 {
+		t.Fatalf("leased message drawn from the pool %d times: pooled twice", seen)
 	}
 }

@@ -117,21 +117,17 @@ type StructuredData map[string]map[string]string
 // Ownership: a Message delivered by a Server's Handler (or BatchHandler)
 // comes from an internal pool and is valid only until the handler
 // returns. A handler that retains the message — stores it, enqueues it,
-// sends it to another goroutine — has two options:
-//
-//   - Lease: the server skips recycling and ownership transfers to the
-//     handler, which must call Recycle exactly once when it is done with
-//     the message (typically right after indexing, which copies every
-//     retained byte into the store's arenas). This is the fast path — the
-//     message and its slab go back to the pool instead of being replaced
-//     by a fresh allocation per record.
-//   - Detach: the server forgets the message permanently and its string
-//     fields stay valid forever. Use when the message's lifetime is
-//     unbounded (retained in analysis state, returned to a caller).
+// sends it to another goroutine — calls Lease before it returns: the
+// server skips recycling and ownership transfers to the handler, which
+// calls Recycle at most once when it no longer references any of the
+// message's strings (typically right after indexing, which copies every
+// retained byte into the store's arenas). A leased message that is never
+// recycled simply falls to the GC. Consumers that keep message strings
+// for an unbounded time (dedup state, analysis rings) work on a Clone.
 //
 // Messages obtained any other way (literals, the string parsers, Clone)
-// are ordinary heap values and never recycled; Lease, Detach and Recycle
-// are no-ops on them.
+// are ordinary heap values and never recycled; Lease and Recycle are
+// no-ops on them.
 type Message struct {
 	Facility   Facility
 	Severity   Severity
@@ -155,13 +151,19 @@ type Message struct {
 	// consumers — the collector pipeline, the store mapping — never read
 	// them; SD materializes on first use.
 	sdRaw string
-	// pooled marks a message currently owned by a Server pool. Detach
-	// and Lease clear it.
+	// pooled marks a message currently owned by a Server pool. Lease
+	// clears it.
 	pooled bool
 	// leased marks a pool-origin message whose ownership was transferred
 	// to the handler via Lease; Recycle (and only Recycle) returns it to
 	// the pool.
 	leased bool
+	// slot points at this message's entry in the batch the Server is
+	// delivering, for the duration of the handler call. Lease clears the
+	// entry, so after the handler returns the server decides what to pool
+	// from its own batch slice alone and never reads a message whose new
+	// owner may already have recycled it on another goroutine.
+	slot **Message
 }
 
 // Reset clears the message for reuse, retaining the materialization slab
@@ -171,26 +173,21 @@ func (m *Message) Reset() {
 	*m = Message{buf: buf[:0], pooled: pooled}
 }
 
-// Detach releases a pool-owned message from its Server's pool: the server
-// will not recycle it after the handler returns, so the message and every
-// string field remain valid indefinitely. It returns m for chaining.
-// Calling Detach on a message that never came from a pool is a no-op.
-func (m *Message) Detach() *Message {
-	m.pooled = false
-	m.leased = false
-	return m
-}
-
 // Lease transfers ownership of a pool-owned message from the Server to
 // the handler: the server will not recycle it after the handler returns,
-// and the new owner must call Recycle exactly once when the message's
-// strings are no longer referenced. It returns m for chaining. On a
-// message that is not currently server-owned, Lease is Detach: a plain
-// heap value stays a plain heap value.
+// and the new owner calls Recycle at most once, when the message's
+// strings are no longer referenced. It returns m for chaining. It must be
+// called on the goroutine running the handler, before the handler
+// returns. On a message that is not currently server-owned Lease does
+// nothing: a plain heap value stays a plain heap value.
 func (m *Message) Lease() *Message {
 	if m.pooled {
 		m.leased = true
 		m.pooled = false
+		if m.slot != nil {
+			*m.slot = nil
+			m.slot = nil
+		}
 	}
 	return m
 }
@@ -254,6 +251,7 @@ func (m *Message) Clone() *Message {
 	c.buf = nil
 	c.pooled = false
 	c.leased = false
+	c.slot = nil
 	if len(m.buf) > 0 {
 		c.Hostname = strings.Clone(m.Hostname)
 		c.AppName = strings.Clone(m.AppName)

@@ -8,8 +8,8 @@ import (
 // TestMessageOwnershipStateMachine pins the pooled → leased → pooled
 // lifecycle behind the zero-garbage ingest path: Lease hands a pool-owned
 // message to the pipeline without copying, Recycle returns it once every
-// retention point has copied what it keeps, and Detach remains the
-// permanent opt-out.
+// retention point has copied what it keeps; a lease that is never
+// recycled falls to the GC.
 func TestMessageOwnershipStateMachine(t *testing.T) {
 	m := getMessage()
 	if !m.pooled || m.leased {
@@ -48,14 +48,6 @@ func TestMessageOwnershipStateMachine(t *testing.T) {
 	// Double release must be harmless: the first Recycle cleared leased,
 	// so a second (buggy) call cannot put the message into the pool twice.
 	Recycle(m)
-
-	// Detach opts out permanently, even mid-lease.
-	m2 := getMessage().Lease()
-	m2.Detach()
-	if m2.pooled || m2.leased || m2.Transient() {
-		t.Error("Detach must clear both ownership flags")
-	}
-	Recycle(m2) // no-op: detached messages never return to the pool
 
 	// Clone always yields an independent heap message.
 	m3 := getMessage().Lease()

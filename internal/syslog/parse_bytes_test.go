@@ -254,27 +254,30 @@ func TestParseBytesSpeedup(t *testing.T) {
 	}
 }
 
-// TestDetachedMessageSurvivesReuse pins the ownership rule: Detach makes
-// the message permanent even though the buffer it was parsed from is
-// recycled and other messages keep flowing through the pool.
-func TestDetachedMessageSurvivesReuse(t *testing.T) {
+// TestLeasedMessageSurvivesReuse pins the ownership rule: a message the
+// handler leased stays intact even though the buffer it was parsed from
+// is recycled and other messages keep flowing through the pool.
+func TestLeasedMessageSurvivesReuse(t *testing.T) {
 	buf := []byte("<34>Oct 11 22:14:15 host app[7]: first payload")
 	m := getMessage()
 	if err := ParseBytes(buf, equivalenceRef, m); err != nil {
 		t.Fatal(err)
 	}
-	m.Detach()
-	putMessage(m) // no-op: detached messages never return to the pool
+	srv := &Server{Handler: HandlerFunc(func(m *Message) { m.Lease() })}
+	srv.deliver([]*Message{m})
 	copy(buf, []byte("<34>Oct 11 22:14:15 host app[7]: XXXXXXXXXXXXXX"))
 	for i := 0; i < 64; i++ {
 		m2 := getMessage()
+		if m2 == m {
+			t.Fatal("leased message re-entered the pool")
+		}
 		if err := ParseBytes([]byte("<34>Oct 11 22:14:15 other oth: noise"), equivalenceRef, m2); err != nil {
 			t.Fatal(err)
 		}
-		putMessage(m2)
+		messagePool.Put(m2)
 	}
 	if m.Content != "first payload" || m.Hostname != "host" || m.AppName != "app" {
-		t.Errorf("detached message corrupted: %+v", m)
+		t.Errorf("leased message corrupted: %+v", m)
 	}
 }
 

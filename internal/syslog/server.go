@@ -21,7 +21,7 @@ import (
 // Ownership: the *Message comes from the server's pool and is recycled as
 // soon as the handler returns. A handler that retains it beyond the call —
 // stores it, enqueues it, hands it to another goroutine — must call
-// m.Detach() (keeping the message forever) or work on m.Clone().
+// m.Lease() before returning (see Message) or work on m.Clone().
 type Handler interface {
 	HandleSyslog(m *Message)
 }
@@ -40,23 +40,18 @@ func (f HandlerFunc) HandleSyslog(m *Message) { f(m) }
 //
 // Ownership matches Handler: the slice and every Message in it are valid
 // only until HandleSyslogBatch returns; retain individual messages with
-// Detach or Clone. The slice itself is always reused — never keep it.
+// Lease or Clone. Leasing a message clears its entry in ms. The slice
+// itself is always reused — never keep it.
 type BatchHandler interface {
 	HandleSyslogBatch(ms []*Message)
 }
 
 // messagePool recycles Messages (and their materialization slabs) across
-// frames. Pool-owned messages carry the pooled flag so Detach can opt out.
+// frames. Pool-owned messages carry the pooled flag so Lease can tell
+// them from plain heap values.
 var messagePool = sync.Pool{New: func() any { return &Message{pooled: true} }}
 
 func getMessage() *Message { return messagePool.Get().(*Message) }
-
-// putMessage returns m to the pool unless a handler detached or leased it.
-func putMessage(m *Message) {
-	if m.pooled {
-		messagePool.Put(m)
-	}
-}
 
 // Recycle returns a leased message (see Message.Lease) to the server pool
 // once its owner no longer references any of its strings — for the
@@ -278,7 +273,7 @@ func (s *Server) appendParsed(frame []byte, batch *[]*Message) {
 	m := getMessage()
 	if err := ParseBytes(frame, s.now(), m); err != nil {
 		s.dropped.Inc()
-		putMessage(m)
+		messagePool.Put(m)
 		return
 	}
 	s.received.Inc()
@@ -287,7 +282,10 @@ func (s *Server) appendParsed(frame []byte, batch *[]*Message) {
 
 // deliver hands a batch to the Handler — one HandleSyslogBatch call when
 // it implements BatchHandler, per-message HandleSyslog otherwise — then
-// recycles every message a handler did not Detach.
+// recycles every message a handler did not Lease. A leased message may
+// already be recycled, re-drawn and re-parsed on other goroutines by the
+// time the handler returns, so which messages to pool is read from the
+// batch entries Lease cleared on this goroutine, never from the messages.
 func (s *Server) deliver(batch []*Message) {
 	if len(batch) == 0 {
 		return
@@ -295,6 +293,9 @@ func (s *Server) deliver(batch []*Message) {
 	s.mu.Lock()
 	h := s.Handler
 	s.mu.Unlock()
+	for i, m := range batch {
+		m.slot = &batch[i]
+	}
 	if bh, ok := h.(BatchHandler); ok {
 		bh.HandleSyslogBatch(batch)
 	} else if h != nil {
@@ -303,7 +304,10 @@ func (s *Server) deliver(batch []*Message) {
 		}
 	}
 	for _, m := range batch {
-		putMessage(m)
+		if m != nil {
+			m.slot = nil
+			messagePool.Put(m)
+		}
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 // gather is a Handler that appends into a slice under a mutex. It retains
-// the messages past the handler return, so it must Detach them from the
+// the messages past the handler return, so it must Lease them from the
 // server's pool (the ownership rule every retaining Handler follows).
 type gather struct {
 	mu   sync.Mutex
@@ -20,7 +20,7 @@ type gather struct {
 
 func (g *gather) HandleSyslog(m *Message) {
 	g.mu.Lock()
-	g.msgs = append(g.msgs, m.Detach())
+	g.msgs = append(g.msgs, m.Lease())
 	g.mu.Unlock()
 }
 
