@@ -47,3 +47,4 @@ cover:
 
 clean:
 	rm -f cover.out test_output.txt bench_output.txt
+	rm -rf .bench_build bench/out

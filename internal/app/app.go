@@ -347,6 +347,11 @@ func obsMux(reg *obs.Registry) http.Handler {
 	return mux
 }
 
+// readHeaderTimeout is how long a connection may take to send its request
+// headers before the HTTP servers drop it, so idle or trickling peers
+// cannot hold connections open indefinitely.
+const readHeaderTimeout = 10 * time.Second
+
 // Run operates the deployment until ctx is cancelled (or a listener
 // fails), then shuts down in the one order that loses nothing: stop the
 // source and wait for the pipeline to drain its queue into the sink,
@@ -384,7 +389,7 @@ func (a *App) Run(ctx context.Context) error {
 		if err != nil {
 			return "", err
 		}
-		srv := &http.Server{Handler: h}
+		srv := &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 		servers = append(servers, srv)
 		go func() { errCh <- srv.Serve(ln) }()
 		return ln.Addr().String(), nil

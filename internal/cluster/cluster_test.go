@@ -6,6 +6,7 @@ package cluster
 // these, with and without -race.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http"
@@ -510,6 +511,44 @@ func TestClusterSpoolReplayAfterRecovery(t *testing.T) {
 		}
 		if i == 1 && ns.Replayed == 0 {
 			t.Error("recovered node saw no replayed records")
+		}
+	}
+}
+
+// TestClusterFrontBodyLimits: the cluster front bounds its JSON query bodies
+// like a store node does — store.MaxQueryBody bytes are read, more is 413.
+func TestClusterFrontBodyLimits(t *testing.T) {
+	_, urls := newTestNodes(t, 2)
+	co, err := NewCoordinator(fastClusterCfg(urls, ""), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(co.Handler())
+	defer srv.Close()
+	body := func(n int) []byte {
+		b := []byte(`{"query":{"match_all":{}},"interval":"1m","field":"hostname","pad":"`)
+		b = append(b, bytes.Repeat([]byte{'x'}, n-len(b)-2)...)
+		return append(b, `"}`...)
+	}
+	for _, tc := range []struct {
+		path string
+		size int
+		want int
+	}{
+		{"/search", store.MaxQueryBody, http.StatusOK},
+		{"/search", store.MaxQueryBody + 1, http.StatusRequestEntityTooLarge},
+		{"/count", store.MaxQueryBody + 1, http.StatusRequestEntityTooLarge},
+		{"/agg/datehist", store.MaxQueryBody + 1, http.StatusRequestEntityTooLarge},
+		{"/agg/terms", store.MaxQueryBody + 1, http.StatusRequestEntityTooLarge},
+		{"/agg/terms", store.MaxQueryBody, http.StatusOK},
+	} {
+		resp, err := http.Post(srv.URL+tc.path, "application/json", bytes.NewReader(body(tc.size)))
+		if err != nil {
+			t.Fatalf("%s with %d bytes: %v", tc.path, tc.size, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s with %d bytes: status %d, want %d", tc.path, tc.size, resp.StatusCode, tc.want)
 		}
 	}
 }

@@ -56,8 +56,7 @@ type searchBody struct {
 
 func (co *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var body searchBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !store.DecodeBody(w, r, store.MaxQueryBody, &body) {
 		return
 	}
 	q, err := parseBodyQuery(body.Query)
@@ -96,8 +95,7 @@ func (co *Coordinator) handleSearchGet(w http.ResponseWriter, r *http.Request) {
 
 func (co *Coordinator) handleCount(w http.ResponseWriter, r *http.Request) {
 	var body searchBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !store.DecodeBody(w, r, store.MaxQueryBody, &body) {
 		return
 	}
 	q, err := parseBodyQuery(body.Query)
@@ -120,8 +118,7 @@ type dateHistBody struct {
 
 func (co *Coordinator) handleDateHist(w http.ResponseWriter, r *http.Request) {
 	var body dateHistBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !store.DecodeBody(w, r, store.MaxQueryBody, &body) {
 		return
 	}
 	q, err := parseBodyQuery(body.Query)
@@ -150,8 +147,7 @@ type termsBody struct {
 
 func (co *Coordinator) handleTerms(w http.ResponseWriter, r *http.Request) {
 	var body termsBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !store.DecodeBody(w, r, store.MaxQueryBody, &body) {
 		return
 	}
 	q, err := parseBodyQuery(body.Query)

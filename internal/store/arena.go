@@ -1,9 +1,6 @@
 package store
 
-import (
-	"math/bits"
-	"unsafe"
-)
+import "unsafe"
 
 // This file is the store's memory substrate: append-only byte arenas that
 // own every retained string, and chunked posting lists that grow without
@@ -100,102 +97,121 @@ type pchunk struct {
 	elems [postChunkLen]int32
 }
 
-// chunkBlockMin is the chunk count of the first chunk block; block b
-// holds chunkBlockMin<<b chunks. Capacity doubles like an appending slice
-// — so steady-state allocation is amortized away, which the zero-alloc
-// index ceilings rely on — but existing chunks never move: growth links a
-// fresh block instead of copying a multi-MB array, the failure mode the
-// per-term doubling slices this replaces had on popular terms.
-const chunkBlockMin = 512
+// postInline is the longest list that lives in its header. Most of a syslog
+// vocabulary is variable words — pids, ports, job ids — that occur in one
+// document and never again, so most lists never own a chunk.
+const postInline = 2
 
 // postings is one term's posting list: doc offsets ascending and
-// deduplicated, stored as a linked list of fixed chunks. The steady-state
-// append — a term the index has seen before — writes one int32 into the
-// tail chunk; only every postChunkLen-th append links a new chunk.
+// deduplicated. A list of at most postInline documents is its header: head
+// holds the first offset and tail the second. The third document moves
+// both into the list's first chunk, and from then on head and tail are the
+// global indexes of the first and last chunk of a linked list of chunks.
+// The steady-state append — a term the index has seen often — writes one
+// int32 into the tail chunk; only every postChunkLen-th append links a new
+// chunk.
 type postings struct {
 	head  int32
 	tail  int32
 	count int32
 }
 
-// postBlockMin is the postings count of the first postings block; block b
-// holds postBlockMin<<b structs, mirroring the chunk-block geometry.
-const postBlockMin = 256
+// Chunks and postings headers are carved from fixed-size blocks, so element
+// idx is blocks[idx>>shift][idx&mask]: elements never move (growth appends
+// a block, it does not copy one), the GC sees one pointer-free object per
+// block, and what a shard has reserved but not used is at most one block of
+// each kind however large the shard grows. Both block sizes are whole
+// allocator size classes — 2048 chunks are 17 pages, 2048 headers are the
+// 24 KiB class — so nothing is lost to rounding either.
+const (
+	chunkBlockShift = 11
+	chunkBlockLen   = 1 << chunkBlockShift
+	postBlockShift  = 11
+	postBlockLen    = 1 << postBlockShift
 
-// newPostings hands out the next postings header from the shard's postings
-// blocks. Headers used to be individual 12-byte heap objects — one per
+	chunkBlockBytes = chunkBlockLen * int64(unsafe.Sizeof(pchunk{}))
+	postBlockBytes  = postBlockLen * int64(unsafe.Sizeof(postings{}))
+)
+
+// newPostings hands out the next (empty) postings header. Headers are block
+// allocated rather than 12-byte heap objects of their own — one per
 // distinct term, tens of thousands per shard, every one of them a GC mark
-// target; block allocation makes them amortized-free to create and lets
-// Compact recycle the whole population by resetting one cursor.
+// target — which makes them amortized-free to create and lets Compact
+// recycle the whole population by resetting one cursor.
 func (s *shard) newPostings() *postings {
 	idx := s.nPost
-	b := len(s.postBlocks)
-	if int64(idx) == int64(postBlockMin)*((1<<b)-1) {
-		s.postBlocks = append(s.postBlocks, make([]postings, postBlockMin<<b))
+	if int(idx>>postBlockShift) == len(s.postBlocks) {
+		s.postBlocks = append(s.postBlocks, make([]postings, postBlockLen))
 	}
 	s.nPost++
-	q := uint32(idx)/postBlockMin + 1
-	bb := bits.Len32(q) - 1
-	off := uint32(idx) - postBlockMin*((1<<bb)-1)
-	p := &s.postBlocks[bb][off]
-	*p = postings{head: -1, tail: -1}
+	s.nInline++
+	p := &s.postBlocks[idx>>postBlockShift][idx&(postBlockLen-1)]
+	*p = postings{}
 	return p
 }
 
-// newChunk hands out the next free chunk, growing the block list when the
-// current capacity is exhausted.
-func (s *shard) newChunk() int32 {
+// newChunk hands out the next free chunk, adding a block when the last one
+// is full.
+func (s *shard) newChunk() (int32, *pchunk) {
 	idx := s.nChunks
-	b := len(s.chunkBlocks)
-	if int64(idx) == int64(chunkBlockMin)*((1<<b)-1) {
-		s.chunkBlocks = append(s.chunkBlocks, make([]pchunk, chunkBlockMin<<b))
+	if int(idx>>chunkBlockShift) == len(s.chunkBlocks) {
+		s.chunkBlocks = append(s.chunkBlocks, make([]pchunk, chunkBlockLen))
 	}
 	s.nChunks++
 	c := s.chunkAt(idx)
 	c.next = -1
-	return idx
+	return idx, c
 }
 
-// chunkAt resolves a global chunk index to its chunk. With block b sized
-// chunkBlockMin<<b, the cumulative capacity below block b is
-// chunkBlockMin*(2^b - 1), so the block is one bit-length computation —
-// no per-block search, no bounds walk.
+// chunkAt resolves a global chunk index to its chunk.
 func (s *shard) chunkAt(idx int32) *pchunk {
-	q := uint32(idx)/chunkBlockMin + 1
-	b := bits.Len32(q) - 1
-	off := uint32(idx) - chunkBlockMin*((1<<b)-1)
-	return &s.chunkBlocks[b][off]
+	return &s.chunkBlocks[idx>>chunkBlockShift][idx&(chunkBlockLen-1)]
 }
 
 // postAppend appends a doc offset to p.
 func (s *shard) postAppend(p *postings, off int32) {
-	slot := p.count % postChunkLen
-	if slot == 0 {
-		nc := s.newChunk()
-		if p.count == 0 {
-			p.head = nc
-		} else {
-			s.chunkAt(p.tail).next = nc
+	switch {
+	case p.count == 0:
+		p.head = off
+	case p.count == 1:
+		p.tail = off
+	case p.count == postInline:
+		nc, c := s.newChunk()
+		c.elems[0], c.elems[1], c.elems[2] = p.head, p.tail, off
+		p.head, p.tail = nc, nc
+		s.nInline--
+	default:
+		slot := p.count % postChunkLen
+		c := s.chunkAt(p.tail)
+		if slot == 0 {
+			nc, fresh := s.newChunk()
+			c.next, p.tail = nc, nc
+			c = fresh
 		}
-		p.tail = nc
+		c.elems[slot] = off
 	}
-	s.chunkAt(p.tail).elems[slot] = off
 	p.count++
 }
 
-// appendPostings materializes p into dst (reused scratch), chunk by chunk.
+// appendPostings materializes p into dst (reused scratch): the header's
+// own offsets for an inline list, chunk by chunk otherwise.
 func (s *shard) appendPostings(dst []int32, p *postings) []int32 {
-	if p == nil || p.count == 0 {
+	if p == nil {
 		return dst
+	}
+	switch p.count {
+	case 0:
+		return dst
+	case 1:
+		return append(dst, p.head)
+	case postInline:
+		return append(dst, p.head, p.tail)
 	}
 	remaining := p.count
 	ci := p.head
 	for remaining > 0 {
 		c := s.chunkAt(ci)
-		n := remaining
-		if n > postChunkLen {
-			n = postChunkLen
-		}
+		n := min(remaining, postChunkLen)
 		dst = append(dst, c.elems[:n]...)
 		remaining -= n
 		ci = c.next

@@ -5,8 +5,10 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -235,6 +237,16 @@ func diffQueries(rng *rand.Rand) []Query {
 		Bool{Should: []Query{Match{Text: "cpu temperature"}, Bool{Must: []Query{host}, MustNot: []Query{Term{Field: "rack", Value: "r0"}}}}},
 		Bool{Should: []Query{Term{Field: "rack", Value: "r2"}, TimeRange{To: from}}},
 		Bool{Must: []Query{Term{Field: "missing", Value: "x"}}, Should: parts()},
+		// One-field Shoulds beside a rarer Must are answered from the stored
+		// row: folded and non-ASCII values, the empty value, an absent one.
+		Bool{Must: []Query{Match{Text: "temperature"}}, Should: []Query{
+			Term{Field: "hostname", Value: "CN001"}, Term{Field: "hostname", Value: "Gpu01"},
+			Term{Field: "hostname", Value: "k"}, Term{Field: "hostname", Value: "nœud7"},
+			Term{Field: "hostname", Value: ""}, Term{Field: "hostname", Value: "nowhere"}}},
+		Bool{Must: []Query{host}, MustNot: []Query{Bool{Should: []Query{
+			Term{Field: "rack", Value: "R1"}, Term{Field: "rack", Value: "ラック"}}}}},
+		// Shoulds on two fields keep one cursor per clause.
+		Bool{Must: []Query{host}, Should: []Query{Term{Field: "rack", Value: "r1"}, Term{Field: "app", Value: "SSHD"}}},
 		Bool{Should: []Query{Term{Field: "missing", Value: "x"}}},
 	}
 }
@@ -337,6 +349,89 @@ func TestReadPathDifferential(t *testing.T) {
 				checkReads(t, fmt.Sprintf("trial %d %s query %d %#v", trial, stage.name, qi, q), st, docs, q)
 			}
 		}
+	}
+}
+
+// TestOneFieldShouldDifferential pins the row-membership check a Bool gets
+// when its Should clauses are Terms on one field and something else drives
+// (the shape a cluster coordinator wraps around every query): which plan
+// each shape compiles to, and that the reads agree with the reference over
+// a shard where the restricting pairs were re-memoized after a fieldMemo
+// reset — so documents name them by two pair indexes, one list — and where
+// documents shadow the field, spell it in another case, or lack it.
+func TestOneFieldShouldDifferential(t *testing.T) {
+	st := New(1)
+	var docs []Doc
+	add := func(fields Fields, body string) {
+		d := Doc{Time: time.Unix(1700000000+int64(len(docs)), 0), Fields: fields, Body: body}
+		d.ID = st.Index(d)
+		docs = append(docs, d)
+	}
+	parts := []string{"p0", "p1", "P2", "p3"}
+	for i := 0; i < 48; i++ {
+		add(F("_part", parts[i%4], "hostname", "cn"+strconv.Itoa(i%6)), "alpha beta")
+	}
+	for i := 0; i <= maxBodyMemo; i++ { // more distinct pairs than fieldMemo holds
+		add(F("seq", strconv.Itoa(i)), "filler")
+	}
+	for i := 0; i < 48; i++ {
+		switch i % 8 {
+		case 0: // shadowed: Term sees the first pair only
+			add(Fields{{"_part", parts[i%4]}, {"_part", parts[(i+1)%4]}, {"hostname", "cn" + strconv.Itoa(i%6)}}, "alpha")
+		case 1: // no partition at all
+			add(F("hostname", "cn"+strconv.Itoa(i%6)), "alpha beta")
+		default:
+			add(F("hostname", "cn"+strconv.Itoa(i%6), "_part", strings.ToUpper(parts[i%4])), "beta")
+		}
+	}
+	sh := st.shards[0]
+	var p0 []uint32
+	for id, fp := range sh.pairs {
+		if sh.arena.view(fp.k) == "_part" && sh.arena.view(fp.v) == "p0" {
+			p0 = append(p0, uint32(id))
+		}
+	}
+	if len(p0) != 2 || sh.pairPost[p0[0]] != sh.pairPost[p0[1]] || sh.pairPost[p0[0]] != sh.fieldPostings("_part", "P0") {
+		t.Fatalf("_part=p0 has pair indexes %v; want two, both naming the one list Term binds to", p0)
+	}
+
+	in := func(vals ...string) []Query {
+		var out []Query
+		for _, v := range vals {
+			out = append(out, Term{Field: "_part", Value: v})
+		}
+		return out
+	}
+	host := Term{Field: "hostname", Value: "cn1"}
+	for _, tc := range []struct {
+		name             string
+		q                Query
+		oneField, driven bool
+	}{
+		{"restricted", Bool{Must: []Query{host}, Should: in("p0", "p2", "P3")}, true, false},
+		{"value never stored", Bool{Must: []Query{host}, Should: in("p1", "p9")}, true, false},
+		{"every clause absent", Bool{Must: []Query{host}, Should: in("p8", "p9")}, false, false},
+		{"beside a must-not", Bool{Must: []Query{host}, MustNot: []Query{Match{Text: "beta"}}, Should: in("p0", "p1")}, true, false},
+		{"union drives", Bool{Must: []Query{MatchAll{}}, Should: in("p0", "p2")}, true, true},
+		{"one clause", Bool{Must: []Query{host}, Should: in("p0")}, false, false},
+		{"two fields", Bool{Must: []Query{host}, Should: []Query{Term{Field: "_part", Value: "p0"}, Term{Field: "seq", Value: "7"}}}, false, false},
+		{"not all terms", Bool{Must: []Query{host}, Should: append(in("p0", "p1"), Match{Text: "filler"})}, false, false},
+	} {
+		ev := sh.bind(tc.q)
+		root := ev.nodes[0]
+		ev.release()
+		if root.oneField != tc.oneField || root.driven != tc.driven {
+			t.Errorf("%s: compiled with oneField=%v driven=%v, want %v and %v", tc.name, root.oneField, root.driven, tc.oneField, tc.driven)
+		}
+		checkReads(t, tc.name, st, docs, tc.q)
+	}
+	st.Delete(docs[0].ID)
+	st.Compact() // the rebuild refills pairPost; fieldMemo resets again on the way
+	for _, q := range []Query{
+		Bool{Must: []Query{host}, Should: in("p0", "p2", "P3")},
+		Bool{Must: []Query{Match{Text: "alpha"}}, Should: in("p1", "p9")},
+	} {
+		checkReads(t, fmt.Sprintf("compacted %#v", q), st, docs[1:], q)
 	}
 }
 
@@ -624,5 +719,120 @@ func TestReadPathDifferentialConcurrent(t *testing.T) {
 	}
 	for qi, q := range queries {
 		checkReads(t, fmt.Sprintf("quiescent query %d %#v", qi, q), st, live, q)
+	}
+}
+
+// TestParallelStripesEqualSerial is the audit of bodyMemo and fieldMemo
+// under IndexBatch's parallel stripes: a stripe owns its shard — every map,
+// memo, scratch buffer and block of it — for as long as it holds that
+// shard's write lock, and touches nothing else. If that holds, what a shard
+// contains is a function of the sequence of documents it was dealt and of
+// nothing the other stripes, writers or readers did. So: two writers send
+// batches large enough to fan out, with more distinct bodies and field
+// pairs per shard than either memo holds (both reset mid-run, and pairs
+// seen before the reset are memoized again after it), readers run beside
+// them, and afterwards every shard must equal — entries, rows, pair table,
+// every posting list, the chunk and header counts — a shard that was handed
+// the same documents one at a time.
+func TestParallelStripesEqualSerial(t *testing.T) {
+	const (
+		nsh       = 4
+		writers   = 2
+		batchSize = 4 * parallelBatchMin * nsh
+		perWriter = nsh * maxBodyMemo * 3 / 2 / writers / batchSize * batchSize
+	)
+	st := New(nsh)
+	base := time.Unix(1800000000, 0)
+	sent := make([][]Doc, writers)
+	var writing sync.WaitGroup
+	for w := range sent {
+		writing.Add(1)
+		go func(w int) {
+			defer writing.Done()
+			for n := 0; n < perWriter; n += batchSize {
+				docs := make([]Doc, batchSize)
+				for i := range docs {
+					slot := w*perWriter + n + i
+					body := "unit reports nominal state" // every sixth document repeats a body
+					if slot%6 != 0 {
+						body = "job " + strconv.Itoa(slot) + " finished on unit " + strconv.Itoa(slot%97)
+					}
+					docs[i] = Doc{
+						Time:   base.Add(time.Duration(slot) * time.Second),
+						Fields: F("slot", strconv.Itoa(slot), "hostname", "cn"+strconv.Itoa(slot%61), "app", "slurmd"),
+						Body:   body,
+					}
+				}
+				st.IndexBatch(docs)
+				sent[w] = append(sent[w], docs...)
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	var reading sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		reading.Add(1)
+		go func() {
+			defer reading.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				st.Terms(Match{Text: "finished"}, "hostname", 0)
+				st.Search(SearchRequest{Query: Term{Field: "app", Value: "slurmd"}, Size: 5})
+				runtime.Gosched()
+			}
+		}()
+	}
+	writing.Wait()
+	close(stop)
+	reading.Wait()
+
+	// Document for document: everything sent is stored once, as sent.
+	if got := st.Count(); got != writers*perWriter {
+		t.Fatalf("store holds %d documents, %d were sent", got, writers*perWriter)
+	}
+	for _, docs := range sent {
+		for i := range docs {
+			if got, ok := st.Get(docs[i].ID); !ok || !sameDoc(&got, &docs[i]) {
+				t.Fatalf("Get(%d) = %+v, %v; sent %+v", docs[i].ID, got, ok, docs[i])
+			}
+		}
+	}
+	// Shard for shard: replay what each shard was dealt, serially.
+	for si, sh := range st.shards {
+		if sh.memoMisses <= maxBodyMemo || len(sh.pairs) <= maxBodyMemo {
+			t.Fatalf("shard %d saw %d distinct bodies and %d pairs; neither memo was reset (bad fixture)", si, sh.memoMisses, len(sh.pairs))
+		}
+		serial := newShard(int64(si), nsh)
+		var d Doc
+		for off := range sh.ents {
+			sh.fillDoc(int32(off), &d)
+			serial.index(d)
+		}
+		same := slices.Equal(sh.ents, serial.ents) && slices.Equal(sh.fEnds, serial.fEnds) &&
+			slices.Equal(sh.fieldIDs, serial.fieldIDs) && slices.Equal(sh.pairs, serial.pairs) &&
+			sh.nChunks == serial.nChunks && sh.nPost == serial.nPost && sh.nInline == serial.nInline &&
+			sh.memoHits == serial.memoHits && sh.memoMisses == serial.memoMisses
+		if !same {
+			t.Fatalf("shard %d differs from its serial replay in entries, rows, pairs or counts", si)
+		}
+		for name, lists := range map[string][2]map[string]*postings{"text": {sh.text, serial.text}, "field": {sh.field, serial.field}} {
+			if len(lists[0]) != len(lists[1]) {
+				t.Fatalf("shard %d: %d %s lists, serial replay has %d", si, len(lists[0]), name, len(lists[1]))
+			}
+			for key, p := range lists[0] {
+				if got, want := sh.appendPostings(nil, p), serial.appendPostings(nil, lists[1][key]); !slices.Equal(got, want) {
+					t.Fatalf("shard %d: %s list %q = %v, serial replay %v", si, name, key, got, want)
+				}
+			}
+		}
+		for id, p := range sh.pairPost {
+			if !slices.Equal(sh.appendPostings(nil, p), serial.appendPostings(nil, serial.pairPost[id])) {
+				t.Fatalf("shard %d: pair %d names a different list than in the serial replay", si, id)
+			}
+		}
 	}
 }

@@ -54,23 +54,31 @@ type enode struct {
 
 	// nodeBool: nodes[c0:c1] must, [c1:c2] should, [c2:c3] must not.
 	c0, c1, c2, c3 int32
+	// oneField marks a Bool whose Should clauses are all Terms on the field
+	// interned as shouldKey: the document satisfies one of them exactly when
+	// the list its own pair of that field is indexed under is one of theirs.
+	oneField  bool
+	shouldKey span
 }
 
 // postCursor answers "does this list contain off" for ascending offs by
 // walking the list's chunks in step with the candidate walk. A chunk whose
-// last entry is below off is skipped without looking inside it.
+// last entry is below off is skipped without looking inside it. A list that
+// lives in its header is copied into the cursor and touches no chunk.
 type postCursor struct {
 	s     *shard
-	chunk *pchunk
-	i, n  int32 // next slot and used slots in chunk; n == 0 once exhausted
-	rest  int32 // entries in the chunks after this one
+	chunk *pchunk // nil for an inline list
+	i, n  int32   // next slot and used slots in chunk (or inl); n == 0 once exhausted
+	rest  int32   // entries in the chunks after this one
+	inl   [postInline]int32
 }
 
 func (s *shard) postCursor(p *postings) postCursor {
-	c := postCursor{s: s, rest: p.count}
-	if p.count > 0 {
-		c.load(s.chunkAt(p.head))
+	if p.count <= postInline {
+		return postCursor{n: p.count, inl: [postInline]int32{p.head, p.tail}}
 	}
+	c := postCursor{s: s, rest: p.count}
+	c.load(s.chunkAt(p.head))
 	return c
 }
 
@@ -80,6 +88,9 @@ func (c *postCursor) load(ch *pchunk) {
 }
 
 func (c *postCursor) contains(off int32) bool {
+	if c.chunk == nil {
+		return (c.n > 0 && c.inl[0] == off) || (c.n > 1 && c.inl[1] == off)
+	}
 	for c.n > 0 && c.chunk.elems[c.n-1] < off {
 		if c.rest == 0 {
 			c.n = 0
@@ -237,10 +248,31 @@ func (ev *evaluator) compileBool(n *enode, b Bool) {
 	}
 	if !anyShould {
 		n.kind = nodeNone
+	} else if f, ok := shouldField(b.Should); ok {
+		// anyShould: some document here carries f, so its key is interned.
+		n.shouldKey, n.oneField = ev.s.keySpan(f)
 	}
 	for i, c := range b.MustNot {
 		ev.compile(c, n.c2+int32(i))
 	}
+}
+
+// shouldField returns the field every Should clause is a Term on, when
+// there are at least two clauses and they agree on it.
+func shouldField(should []Query) (string, bool) {
+	if len(should) < 2 {
+		return "", false
+	}
+	first, ok := should[0].(Term)
+	if !ok {
+		return "", false
+	}
+	for _, c := range should[1:] {
+		if t, ok := c.(Term); !ok || t.Field != first.Field {
+			return "", false
+		}
+	}
+	return first.Field, true
 }
 
 // driverMode selects what driver does beyond estimating.
@@ -421,6 +453,16 @@ func (ev *evaluator) check(at int32, off int32, e *docEnt) bool {
 		if n.driven || n.c1 == n.c2 {
 			return true
 		}
+		if n.oneField {
+			// One walk of the stored row instead of one cursor per clause.
+			own := ev.s.fieldList(off, n.shouldKey)
+			for c := n.c1; c < n.c2; c++ {
+				if sc := &ev.nodes[c]; sc.kind == nodeLists && ev.posts[sc.p0] == own {
+					return true
+				}
+			}
+			return false
+		}
 		for c := n.c1; c < n.c2; c++ {
 			if ev.check(c, off, e) {
 				return true
@@ -444,13 +486,34 @@ func (s *shard) keySpan(field string) (span, bool) {
 	return sp, ok
 }
 
-// fieldValue returns the value span of the first pair keyed by key on the
+// firstPair returns the index of the first pair keyed by key on the
 // document at off — the same "first duplicate wins" rule as Fields.Get.
-func (s *shard) fieldValue(off int32, key span) (span, bool) {
+func (s *shard) firstPair(off int32, key span) (uint32, bool) {
 	for _, id := range s.docFields(off) {
-		if fp := &s.pairs[id]; fp.k == key {
-			return fp.v, true
+		if s.pairs[id].k == key {
+			return id, true
 		}
 	}
-	return span{}, false
+	return 0, false
+}
+
+// fieldValue returns the value span of the document's pair keyed by key.
+func (s *shard) fieldValue(off int32, key span) (span, bool) {
+	id, ok := s.firstPair(off, key)
+	if !ok {
+		return span{}, false
+	}
+	return s.pairs[id].v, true
+}
+
+// fieldList returns the posting list the document's pair keyed by key is
+// indexed under, nil when the document does not carry the field. The first
+// pair of a key is never shadowed, so the document is in that list and —
+// one list per folded value — in no other list of the field.
+func (s *shard) fieldList(off int32, key span) *postings {
+	id, ok := s.firstPair(off, key)
+	if !ok {
+		return nil
+	}
+	return s.pairPost[id]
 }

@@ -184,6 +184,37 @@ func (st *Store) handleSearchGet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{"total": len(hits), "hits": hits})
 }
 
+// Request bodies are read through http.MaxBytesReader, so a client cannot
+// make a node buffer more than these; one that tries is answered 413.
+const (
+	// MaxQueryBody bounds the JSON body of every query endpoint.
+	MaxQueryBody = 1 << 20
+	// MaxBatchBody bounds the index endpoints. A cluster router posts one
+	// node's share of one pipeline batch at a time — 128 records by default
+	// (collector.Config.BatchSize) of at most 1 MiB each (the syslog frame
+	// limit), and typically a few hundred bytes — so it stays far below.
+	MaxBatchBody = 256 << 20
+)
+
+// DecodeBody decodes the request's JSON body, reading at most limit bytes
+// of it, into v. When it reports false it has already answered: 413 for a
+// body over the limit, 400 for one that does not decode.
+func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v); err != nil {
+		http.Error(w, err.Error(), bodyErrorStatus(err))
+		return false
+	}
+	return true
+}
+
+func bodyErrorStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(v); err != nil {
@@ -193,8 +224,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 func (st *Store) handleIndex(w http.ResponseWriter, r *http.Request) {
 	var d Doc
-	if err := json.NewDecoder(r.Body).Decode(&d); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !DecodeBody(w, r, MaxBatchBody, &d) {
 		return
 	}
 	id := st.Index(d)
@@ -221,8 +251,8 @@ func (st *Store) handleIndexBatch(w http.ResponseWriter, r *http.Request) {
 		buf := batchBufPool.Get().(*bytes.Buffer)
 		buf.Reset()
 		defer batchBufPool.Put(buf)
-		if _, err := buf.ReadFrom(r.Body); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBatchBody)); err != nil {
+			http.Error(w, err.Error(), bodyErrorStatus(err))
 			return
 		}
 		docs, err := DecodeDocs(buf.Bytes(), nil)
@@ -241,8 +271,7 @@ func (st *Store) handleIndexBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var body indexBatchBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !DecodeBody(w, r, MaxBatchBody, &body) {
 		return
 	}
 	first := st.IndexBatch(body.Docs)
@@ -251,8 +280,7 @@ func (st *Store) handleIndexBatch(w http.ResponseWriter, r *http.Request) {
 
 func (st *Store) handleCount(w http.ResponseWriter, r *http.Request) {
 	var body searchBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !DecodeBody(w, r, MaxQueryBody, &body) {
 		return
 	}
 	q := Query(MatchAll{})
@@ -275,8 +303,7 @@ type searchBody struct {
 
 func (st *Store) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var body searchBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !DecodeBody(w, r, MaxQueryBody, &body) {
 		return
 	}
 	q := Query(MatchAll{})
@@ -302,8 +329,7 @@ type dateHistBody struct {
 
 func (st *Store) handleDateHist(w http.ResponseWriter, r *http.Request) {
 	var body dateHistBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !DecodeBody(w, r, MaxQueryBody, &body) {
 		return
 	}
 	q := Query(MatchAll{})
@@ -335,8 +361,7 @@ type termsBody struct {
 
 func (st *Store) handleTerms(w http.ResponseWriter, r *http.Request) {
 	var body termsBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !DecodeBody(w, r, MaxQueryBody, &body) {
 		return
 	}
 	q := Query(MatchAll{})

@@ -228,3 +228,49 @@ func TestMarshalQueryRoundTrip(t *testing.T) {
 		t.Errorf("nil marshaled to %#v", back)
 	}
 }
+
+// paddedBody returns a valid request body of exactly n bytes: the fields
+// given plus a "pad" string no handler reads.
+func paddedBody(n int, fields string) []byte {
+	body := []byte(`{` + fields + `,"pad":"`)
+	body = append(body, bytes.Repeat([]byte{'x'}, n-len(body)-2)...)
+	return append(body, `"}`...)
+}
+
+// TestHTTPBodyLimits: every JSON query endpoint reads at most MaxQueryBody
+// bytes and answers 413 to more; the index endpoints have their own, larger
+// bound, so a batch far over the query limit is still taken.
+func TestHTTPBodyLimits(t *testing.T) {
+	st := New(1)
+	srv := httptest.NewServer(st.Handler())
+	defer srv.Close()
+	const query = `"query":{"match_all":{}},"interval":"1m","field":"hostname"`
+	for _, tc := range []struct {
+		path, contentType string
+		body              []byte
+		want              int
+	}{
+		{"/search", "application/json", paddedBody(MaxQueryBody, query), http.StatusOK},
+		{"/search", "application/json", paddedBody(MaxQueryBody+1, query), http.StatusRequestEntityTooLarge},
+		{"/count", "application/json", paddedBody(MaxQueryBody+1, query), http.StatusRequestEntityTooLarge},
+		{"/agg/datehist", "application/json", paddedBody(MaxQueryBody+1, query), http.StatusRequestEntityTooLarge},
+		{"/agg/terms", "application/json", paddedBody(MaxQueryBody+1, query), http.StatusRequestEntityTooLarge},
+		{"/agg/terms", "application/json", paddedBody(MaxQueryBody, query), http.StatusOK},
+		{"/search", "application/json", []byte(`{"query":`), http.StatusBadRequest},
+		{"/index", "application/json", paddedBody(2*MaxQueryBody, `"body":"one large record"`), http.StatusOK},
+		{"/index/batch", "application/json", paddedBody(2*MaxQueryBody, `"docs":[{"body":"a"},{"body":"b"}]`), http.StatusOK},
+		{"/index/batch", DocsContentType, EncodeDocs(nil, []Doc{{Body: string(paddedBody(2*MaxQueryBody, `"k":1`))}}), http.StatusOK},
+	} {
+		resp, err := http.Post(srv.URL+tc.path, tc.contentType, bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s with %d bytes: %v", tc.path, len(tc.body), err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s (%s) with %d bytes: status %d, want %d", tc.path, tc.contentType, len(tc.body), resp.StatusCode, tc.want)
+		}
+	}
+	if got := st.Count(); got != 4 {
+		t.Errorf("store holds %d documents after the accepted index requests, want 4", got)
+	}
+}

@@ -89,6 +89,7 @@ func (sh *shard) compactLocked() {
 		sh.fEnds = sh.fEnds[:0]
 		sh.fieldIDs = sh.fieldIDs[:0]
 		sh.pairs = sh.pairs[:0]
+		sh.pairPost = sh.pairPost[:0]
 		sh.arena = arena{}
 		clear(sh.text)
 		clear(sh.field)
@@ -97,6 +98,7 @@ func (sh *shard) compactLocked() {
 		clear(sh.fieldMemo)
 		sh.nChunks = 0
 		sh.nPost = 0
+		sh.nInline = 0
 		sh.dead = nil
 		return
 	}
@@ -136,11 +138,13 @@ func (sh *shard) compactLocked() {
 	sh.fEnds = fresh.fEnds
 	sh.fieldIDs = fresh.fieldIDs
 	sh.pairs = fresh.pairs
+	sh.pairPost = fresh.pairPost
 	sh.arena = fresh.arena
 	sh.chunkBlocks = fresh.chunkBlocks
 	sh.nChunks = fresh.nChunks
 	sh.postBlocks = fresh.postBlocks
 	sh.nPost = fresh.nPost
+	sh.nInline = fresh.nInline
 	sh.tokScratch = fresh.tokScratch
 	sh.keyScratch = fresh.keyScratch
 	sh.lowScratch = fresh.lowScratch

@@ -141,10 +141,13 @@ type shard struct {
 	// two small dense arrays and never the 32-byte ents rows. All four are
 	// pointer-free. A pair re-memoized after a fieldMemo reset gets a
 	// second index, so equal spans — not equal indexes — mean equal pairs.
+	// pairPost[id] is the posting list pairs[id] is indexed under: two pairs
+	// share a list exactly when Term treats them as equal (appendFieldKey).
 	ents     []docEnt
 	fEnds    []uint32
 	fieldIDs []uint32
 	pairs    []fieldPair
+	pairPost []*postings
 	// arena owns every retained byte: bodies, field keys and values.
 	arena arena
 	// body postings: token -> posting list
@@ -170,11 +173,13 @@ type shard struct {
 	fieldMemo map[string]fieldEntry
 	// chunkBlocks backs the shard's posting chunks; nChunks is the global
 	// allocation cursor (see arena.go). postBlocks/nPost do the same for
-	// the postings headers themselves.
+	// the postings headers themselves; nInline of the nPost lists live in
+	// their header.
 	chunkBlocks [][]pchunk
 	nChunks     int32
 	postBlocks  [][]postings
 	nPost       int32
+	nInline     int32
 	// dead holds tombstoned offsets awaiting Compact.
 	dead map[int32]struct{}
 	// tokScratch, keyScratch and lowScratch are reused across indexLocked
@@ -450,6 +455,7 @@ func (s *shard) addField(f, v string, off int32, docStart uint32) {
 			fe.post = s.newPostings()
 			s.field[s.arena.view(s.arena.copyBytes(s.lowScratch))] = fe.post
 		}
+		s.pairPost = append(s.pairPost, fe.post)
 		if len(s.fieldMemo) >= maxBodyMemo {
 			clear(s.fieldMemo)
 		}
@@ -550,6 +556,10 @@ func (st *Store) Instrument(r *obs.Registry) {
 		func() int64 { return st.Stats().ArenaBytes })
 	r.GaugeFunc("store_posting_chunks", "posting-list chunks allocated across shards",
 		func() int64 { return st.Stats().PostingChunks })
+	r.GaugeFunc("store_posting_bytes", "bytes reserved by posting chunk and header blocks",
+		func() int64 { return st.Stats().PostingBytes })
+	r.GaugeFunc("store_inline_postings", "posting lists held in their header, owning no chunk",
+		func() int64 { return st.Stats().InlinePostings })
 	r.GaugeFuncFloat("store_body_memo_hit_ratio",
 		"fraction of indexed docs whose body was already interned",
 		func() float64 { return st.Stats().BodyMemoHitRatio() })
@@ -742,6 +752,11 @@ type Stats struct {
 	// PostingChunks is the number of fixed-size posting chunks allocated
 	// across all shards (each postChunkLen doc offsets).
 	PostingChunks int64 `json:"posting_chunks"`
+	// PostingBytes is what the index's chunk and postings-header blocks
+	// reserve, used or not; InlinePostings counts the lists that live in
+	// their header and own no chunk.
+	PostingBytes   int64 `json:"posting_bytes"`
+	InlinePostings int64 `json:"inline_postings"`
 	// BodyMemoHits/Misses count indexed docs whose body was/wasn't
 	// already interned.
 	BodyMemoHits   int64 `json:"body_memo_hits"`
@@ -766,6 +781,8 @@ func (st *Store) Stats() Stats {
 		s.TextTerms += len(sh.text)
 		s.ArenaBytes += sh.arena.reserved
 		s.PostingChunks += int64(sh.nChunks)
+		s.PostingBytes += int64(len(sh.chunkBlocks))*chunkBlockBytes + int64(len(sh.postBlocks))*postBlockBytes
+		s.InlinePostings += int64(sh.nInline)
 		s.BodyMemoHits += sh.memoHits
 		s.BodyMemoMisses += sh.memoMisses
 		sh.mu.RUnlock()

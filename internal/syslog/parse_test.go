@@ -227,6 +227,8 @@ func TestQuickRoundTrip5424(t *testing.T) {
 }
 
 // sanitizeToken maps arbitrary strings onto valid RFC 5424 header tokens.
+// A lone "-" is the NILVALUE — it parses back as the empty token — so it
+// maps to the empty token here too.
 func sanitizeToken(s string) string {
 	var b strings.Builder
 	for _, r := range s {
@@ -237,6 +239,9 @@ func sanitizeToken(s string) string {
 	out := b.String()
 	if len(out) > 48 {
 		out = out[:48]
+	}
+	if out == "-" {
+		return ""
 	}
 	return out
 }
