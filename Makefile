@@ -14,11 +14,13 @@ vet:
 
 # Uncached and on 1, 2 and 4 Ps: an ordering bug that only shows with real
 # parallelism (or only without it) must not hide behind the test cache.
-# bench/ is a module of its own, so tier-1 alone never builds it: vet and
-# test it here, or an internal/ change can break the benchmark of record
-# unnoticed (its smoke run takes about 40 s).
+# The -race run is the step CI runs after the plain one, so a local green
+# means a CI green. bench/ is a module of its own, so tier-1 alone never
+# builds it: vet and test it here, or an internal/ change can break the
+# benchmark of record unnoticed (its smoke run takes about 40 s).
 test:
 	$(GO) test -count=1 -cpu 1,2,4 ./...
+	$(GO) test -race -count=1 -cpu 1,2,4 ./...
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Regenerate every table and figure (laptop scale; SCALE=196393 for the

@@ -497,7 +497,9 @@ func TestClusterSpoolReplayAfterRecovery(t *testing.T) {
 			t.Fatalf("%d records left the spool but only %d replayed + %d evicted + %d lost are counted",
 				left, counted.Replayed, counted.Evicted, counted.Lost)
 		}
-		if n, err := co.Count(ctx, nil); err == nil && n == total {
+		// The replayer counts a frame once its IndexBatch has returned, so
+		// the documents can be counted a moment before the frame is.
+		if n, err := co.Count(ctx, nil); err == nil && n == total && rt.Stats()[1].Replayed > 0 {
 			break
 		}
 		time.Sleep(time.Millisecond)

@@ -80,32 +80,41 @@ func (st *Store) DateHistogramSparse(q Query, interval time.Duration) []Histogra
 }
 
 // histogram adds the shard's matches of q to counts, keyed by bucket
-// index, and returns the entries visited. Buckets come straight from the
-// stored (sec, nsec) — the same wrapping arithmetic as Time.UnixNano — and
-// a run of documents in one bucket costs one map update, which is the
-// common case: shards fill in time order.
+// index, and returns the entries visited. The shard's view keeps its
+// buckets; the walk adds the documents appended since. Buckets come
+// straight from the stored (sec, nsec) — the same wrapping arithmetic as
+// Time.UnixNano — and a run of documents in one bucket costs one map
+// update, which is the common case: shards fill in time order.
 func (s *shard) histogram(q Query, interval int64, counts map[int64]int) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	ev := s.bind(q)
-	defer ev.release()
-	var bucket, lo, run int64 // the current bucket starts at lo and has run docs so far
-	visited := ev.each(func(_ int32, e *docEnt) {
-		ns := e.sec*1e9 + int64(e.nsec)
-		if run > 0 && uint64(ns-lo) < uint64(interval) {
-			run++
-			return
+	key := newViewKey(opHist).num(interval).query(q)
+	defer key.release()
+	return s.read(key.b, q, func(ev *evaluator, v *view) int {
+		if v.hist == nil {
+			v.hist = make(map[int64]int)
 		}
+		var bucket, lo, run int64 // the current bucket starts at lo and has run docs so far
+		visited := ev.each(func(_ int32, e *docEnt) {
+			ns := e.sec*1e9 + int64(e.nsec)
+			if run > 0 && uint64(ns-lo) < uint64(interval) {
+				run++
+				return
+			}
+			if run > 0 {
+				v.hist[bucket] += int(run)
+			}
+			bucket = floorDiv(ns, interval)
+			lo, run = bucket*interval, 1
+		})
 		if run > 0 {
-			counts[bucket] += int(run)
+			v.hist[bucket] += int(run)
 		}
-		bucket = floorDiv(ns, interval)
-		lo, run = bucket*interval, 1
+		for b, c := range v.hist {
+			counts[b] += c
+		}
+		return visited
 	})
-	if run > 0 {
-		counts[bucket] += int(run)
-	}
-	return visited
 }
 
 // FillHistogram materializes the contiguous gap-filled histogram from
@@ -160,27 +169,30 @@ func (st *Store) Terms(q Query, field string, size int) []TermBucket {
 }
 
 // terms adds the shard's matches of q to counts by value of field and
-// returns the entries visited. Documents are grouped by value span —
-// interned spans are canonical per shard, so span identity is exact-case
-// string identity — and each distinct value's string is resolved once, at
-// the end. The strings are arena views; retaining them as map keys and in
+// returns the entries visited; the shard's view keeps the counters and the
+// walk adds the documents appended since. Documents are grouped by value
+// span — interned spans are canonical per shard, so span identity is
+// exact-case string identity — and each distinct value's string is
+// resolved once, at the end. The strings are arena views; retaining them as map keys and in
 // the returned buckets is safe, a view pins its block.
 func (s *shard) terms(q Query, field string, counts map[string]int) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	key, ok := s.keySpan(field)
+	fkey, ok := s.keySpan(field)
 	if !ok {
 		return 0
 	}
-	ev := s.bind(q)
-	defer ev.release()
-	visited := ev.each(func(off int32, _ *docEnt) {
-		if v, ok := s.fieldValue(off, key); ok {
-			ev.tally.add(tallyKey{v: v})
-		}
+	key := newViewKey(opTerms).str(field).query(q)
+	defer key.release()
+	return s.read(key.b, q, func(ev *evaluator, v *view) int {
+		visited := ev.each(func(off int32, _ *docEnt) {
+			if val, ok := s.fieldValue(off, fkey); ok {
+				v.tally.add(tallyKey{v: val})
+			}
+		})
+		v.tally.each(func(k tallyKey, c int) { counts[s.arena.view(k.v)] += c })
+		return visited
 	})
-	ev.tally.each(func(k tallyKey, c int) { counts[s.arena.view(k.v)] += c })
-	return visited
 }
 
 // termBuckets orders a value→count map the way Terms returns it and keeps
@@ -262,8 +274,9 @@ func (st *Store) Pivot(q Query, by string, sub ...string) []PivotBucket {
 }
 
 // pivot tallies the shard's matches of q per (group, sub-field, value)
-// span triple, then reports each counter once through emit with its
-// strings resolved. Returns the entries visited.
+// span triple in the shard's view, adding the documents appended since its
+// last walk, then reports each counter once through emit with its strings
+// resolved. Returns the entries visited.
 func (s *shard) pivot(q Query, by string, sub []string, emit func(byVal string, sub int, subVal string, count int)) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -271,8 +284,6 @@ func (s *shard) pivot(q Query, by string, sub []string, emit func(byVal string, 
 	if !ok {
 		return 0
 	}
-	ev := s.bind(q)
-	defer ev.release()
 	// Sub-fields this shard has never stored cannot contribute.
 	type subKey struct {
 		i   int32
@@ -284,22 +295,30 @@ func (s *shard) pivot(q Query, by string, sub []string, emit func(byVal string, 
 			subKeys = append(subKeys, subKey{int32(i), k})
 		}
 	}
-	visited := ev.each(func(off int32, _ *docEnt) {
-		g, ok := s.fieldValue(off, byKey)
-		if !ok {
-			return
-		}
-		ev.tally.add(tallyKey{by: g, sub: pivotTotal})
-		for _, sk := range subKeys {
-			if v, ok := s.fieldValue(off, sk.key); ok {
-				ev.tally.add(tallyKey{by: g, sub: sk.i, v: v})
+	key := newViewKey(opPivot).str(by).num(int64(len(sub)))
+	for _, f := range sub {
+		key.str(f)
+	}
+	key.query(q)
+	defer key.release()
+	return s.read(key.b, q, func(ev *evaluator, v *view) int {
+		visited := ev.each(func(off int32, _ *docEnt) {
+			g, ok := s.fieldValue(off, byKey)
+			if !ok {
+				return
 			}
-		}
+			v.tally.add(tallyKey{by: g, sub: pivotTotal})
+			for _, sk := range subKeys {
+				if val, ok := s.fieldValue(off, sk.key); ok {
+					v.tally.add(tallyKey{by: g, sub: sk.i, v: val})
+				}
+			}
+		})
+		v.tally.each(func(k tallyKey, c int) {
+			emit(s.arena.view(k.by), int(k.sub), s.arena.view(k.v), c)
+		})
+		return visited
 	})
-	ev.tally.each(func(k tallyKey, c int) {
-		emit(s.arena.view(k.by), int(k.sub), s.arena.view(k.v), c)
-	})
-	return visited
 }
 
 // SortTerms orders term buckets the way Terms returns them: count

@@ -171,22 +171,7 @@ func dashboardStore(n int) *Store {
 	st := New(6)
 	docs := make([]Doc, 0, 1024)
 	for i := 0; i < n; i++ {
-		host := (i * 131) % 512
-		docs = append(docs, Doc{
-			Time: time.Unix(1_700_000_000, 0).Add(time.Duration(i) * 3600 * time.Microsecond),
-			Fields: F(
-				"tag", "syslog",
-				"hostname", fmt.Sprintf("cn%03d", host),
-				"app", []string{"kernel", "sshd", "slurmd", "systemd"}[i%4],
-				"severity", "warning",
-				"facility", "kern",
-				"rack", fmt.Sprintf("r%d", host/64),
-				"arch", fmt.Sprintf("arch%d", host%6),
-				"category", fmt.Sprintf("category_%d", max(0, (i/7)%10-2)),
-			),
-			Body: fmt.Sprintf("unit %d reports %s state on cpu%d job=%d",
-				i%512, []string{"thermal", "nominal", "degraded"}[i%3], i%16, i),
-		})
+		docs = append(docs, dashboardDoc(i))
 		if len(docs) == cap(docs) {
 			st.IndexBatch(docs)
 			docs = docs[:0]
@@ -194,6 +179,50 @@ func dashboardStore(n int) *Store {
 	}
 	st.IndexBatch(docs)
 	return st
+}
+
+// dashboardDoc is the i-th document of dashboardStore's corpus.
+func dashboardDoc(i int) Doc {
+	host := (i * 131) % 512
+	return Doc{
+		Time: time.Unix(1_700_000_000, 0).Add(time.Duration(i) * 3600 * time.Microsecond),
+		Fields: F(
+			"tag", "syslog",
+			"hostname", fmt.Sprintf("cn%03d", host),
+			"app", []string{"kernel", "sshd", "slurmd", "systemd"}[i%4],
+			"severity", "warning",
+			"facility", "kern",
+			"rack", fmt.Sprintf("r%d", host/64),
+			"arch", fmt.Sprintf("arch%d", host%6),
+			"category", fmt.Sprintf("category_%d", max(0, (i/7)%10-2)),
+		),
+		Body: fmt.Sprintf("unit %d reports %s state on cpu%d job=%d",
+			i%512, []string{"thermal", "nominal", "degraded"}[i%3], i%16, i),
+	}
+}
+
+// dashboardRead is one read a dashboard refresh issues.
+type dashboardRead struct {
+	name string
+	run  func()
+}
+
+// dashboardReads returns the reads of one refresh over st.
+func dashboardReads(st *Store) []dashboardRead {
+	thermalOnArch := Bool{Must: []Query{
+		Term{Field: "category", Value: "category_0"}, Term{Field: "arch", Value: "arch2"}}}
+	return []dashboardRead{
+		{"histogram", func() { st.DateHistogramSparse(MatchAll{}, time.Minute) }},
+		{"pivot_rack", func() { st.Pivot(MatchAll{}, "rack", "category", "hostname") }},
+		{"terms_perarch", func() { st.Terms(thermalOnArch, "hostname", 0) }},
+		{"count_category", func() { st.CountQuery(Term{Field: "category", Value: "category_3"}) }},
+		{"terms_hostname", func() { st.Terms(MatchAll{}, "hostname", 10) }},
+		{"search_broad", func() { st.Search(SearchRequest{Query: Match{Text: "reports"}, Size: 10}) }},
+		{"search_selective", func() {
+			st.Search(SearchRequest{Query: Bool{Must: []Query{
+				Term{Field: "hostname", Value: "cn101"}, Match{Text: "thermal"}}}, Size: 10})
+		}},
+	}
 }
 
 // TestReadPathSteadyStateAllocs pins what the document-free read path
@@ -291,32 +320,91 @@ func TestQueryMetricsMaterializeOnlyHits(t *testing.T) {
 }
 
 // BenchmarkDashboardReads times each read a dashboard refresh issues, on
-// 100 000 documents.
+// 100 000 documents: repeated on an unchanged store, where the read is
+// answered from its views, and — the _after_append variants — with 128
+// documents appended before every read, so that it walks them. An
+// _after_append op is the append and the read; read-ns/op is the read
+// alone. Each variant grows its own store by 128 documents an op, so pass
+// a -benchtime in ops (e.g. 2000x) to bound it.
 func BenchmarkDashboardReads(b *testing.B) {
+	const appended = 128
 	st := dashboardStore(100_000)
-	thermalOnArch := Bool{Must: []Query{
-		Term{Field: "category", Value: "category_0"}, Term{Field: "arch", Value: "arch2"}}}
-	reads := []struct {
-		name string
-		run  func()
-	}{
-		{"histogram", func() { st.DateHistogramSparse(MatchAll{}, time.Minute) }},
-		{"pivot_rack", func() { st.Pivot(MatchAll{}, "rack", "category", "hostname") }},
-		{"terms_perarch", func() { st.Terms(thermalOnArch, "hostname", 0) }},
-		{"count_category", func() { st.CountQuery(Term{Field: "category", Value: "category_3"}) }},
-		{"terms_hostname", func() { st.Terms(MatchAll{}, "hostname", 10) }},
-		{"search_broad", func() { st.Search(SearchRequest{Query: Match{Text: "reports"}, Size: 10}) }},
-		{"search_selective", func() {
-			st.Search(SearchRequest{Query: Bool{Must: []Query{
-				Term{Field: "hostname", Value: "cn101"}, Match{Text: "thermal"}}}, Size: 10})
-		}},
-	}
-	for _, r := range reads {
+	for i, r := range dashboardReads(st) {
 		b.Run(r.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				r.run()
 			}
 		})
+		b.Run(r.name+"_after_append", func(b *testing.B) {
+			grown := dashboardStore(100_000)
+			read := dashboardReads(grown)[i].run
+			read()
+			batch, next := make([]Doc, appended), 100_000
+			var walking time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				for j := range batch {
+					batch[j] = dashboardDoc(next)
+					next++
+				}
+				grown.IndexBatch(batch)
+				start := time.Now()
+				read()
+				walking += time.Since(start)
+			}
+			b.ReportMetric(float64(walking.Nanoseconds())/float64(b.N), "read-ns/op")
+		})
+	}
+}
+
+// BenchmarkOneOffReads times reads that do not repeat — ad-hoc queries —
+// on 100 000 documents. Each op reads the next of a cycle of distinct
+// queries. In the one_off variants the cycle is longer than a shard's
+// seen set, so no key is ever read twice as far as the shard can tell:
+// every read walks in a pooled private view, as it would without views.
+// In the churn variants the cycle is twice maxViews: each key comes back
+// often enough to be kept, but the views are dropped wholesale before it
+// does again, so reads walk from offset 0 and pay to set up views besides.
+// The selective queries match most of one host's documents, where that
+// setup weighs most; the broad ones all documents but those.
+func BenchmarkOneOffReads(b *testing.B) {
+	const hosts, cats = 512, 4
+	st := dashboardStore(100_000)
+	var selective, broad []Query
+	for i := 0; i < hosts*cats; i++ {
+		host := Term{Field: "hostname", Value: fmt.Sprintf("cn%03d", i%hosts)}
+		cat := Term{Field: "category", Value: fmt.Sprintf("category_%d", i/hosts)}
+		selective = append(selective, Bool{Must: []Query{host}, MustNot: []Query{cat}})
+		broad = append(broad, Bool{Must: []Query{Match{Text: "reports"}}, MustNot: []Query{host, cat}})
+	}
+	reads := []struct {
+		name string
+		run  func(q Query)
+	}{
+		{"count", func(q Query) { st.CountQuery(q) }},
+		{"histogram", func(q Query) { st.DateHistogramSparse(q, time.Minute) }},
+		{"terms", func(q Query) { st.Terms(q, "app", 0) }},
+		{"pivot", func(q Query) { st.Pivot(q, "category", "app") }},
+		{"search", func(q Query) { st.Search(SearchRequest{Query: q, Size: 10}) }},
+	}
+	for _, cycle := range []struct {
+		name string
+		len  int
+	}{{"one_off", 2 * maxSeen}, {"churn", 2 * maxViews}} {
+		for _, shape := range []struct {
+			name string
+			qs   []Query
+		}{{"selective", selective}, {"broad", broad}} {
+			for _, r := range reads {
+				b.Run(cycle.name+"_"+shape.name+"_"+r.name, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						r.run(shape.qs[i%cycle.len])
+					}
+				})
+			}
+		}
 	}
 }

@@ -193,28 +193,47 @@ func (s *shard) postAppend(p *postings, off int32) {
 	p.count++
 }
 
-// appendPostings materializes p into dst (reused scratch): the header's
-// own offsets for an inline list, chunk by chunk otherwise.
-func (s *shard) appendPostings(dst []int32, p *postings) []int32 {
+// appendPostings materializes p's offsets at or past from into dst (reused
+// scratch): the header's own offsets for an inline list, chunk by chunk
+// otherwise, skipping the chunks that end below from.
+func (s *shard) appendPostings(dst []int32, p *postings, from int32) []int32 {
 	if p == nil {
 		return dst
 	}
-	switch p.count {
-	case 0:
+	if p.count <= postInline {
+		if p.count > 0 && p.head >= from {
+			dst = append(dst, p.head)
+		}
+		if p.count > 1 && p.tail >= from {
+			dst = append(dst, p.tail)
+		}
 		return dst
-	case 1:
-		return append(dst, p.head)
-	case postInline:
-		return append(dst, p.head, p.tail)
 	}
-	remaining := p.count
-	ci := p.head
+	ci, remaining := s.skipTo(p, from)
 	for remaining > 0 {
 		c := s.chunkAt(ci)
 		n := min(remaining, postChunkLen)
-		dst = append(dst, c.elems[:n]...)
+		if els := c.elems[:n]; els[n-1] >= from {
+			i := 0
+			for els[i] < from {
+				i++
+			}
+			dst = append(dst, els[i:]...)
+		}
 		remaining -= n
 		ci = c.next
 	}
 	return dst
+}
+
+// skipTo returns where a walk of a chunked list for offsets at or past from
+// starts: the chunk and the entries from it to the end. When the last chunk
+// starts below from, everything the walk wants is in it — the common case
+// for a view extended by a few appended documents — and the walk skips the
+// whole chain ahead of it; otherwise it starts at the head.
+func (s *shard) skipTo(p *postings, from int32) (ci, entries int32) {
+	if s.chunkAt(p.tail).elems[0] < from {
+		return p.tail, (p.count-1)%postChunkLen + 1
+	}
+	return p.head, p.count
 }

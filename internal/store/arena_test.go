@@ -189,8 +189,9 @@ func buildPostingsRef(docs []Doc) postingsRef {
 
 // checkPostings holds every list of sh to ref three ways — materialized,
 // through a cursor asked about every offset, through a cursor asked about
-// every seventh (so whole chunks are skipped) — and the shard's chunk and
-// inline-list accounting to what lists of those lengths must own.
+// every seventh (so whole chunks are skipped), each from a handful of
+// starting offsets, as a view's delta walk binds them — and the shard's
+// chunk and inline-list accounting to what lists of those lengths must own.
 func checkPostings(t *testing.T, label string, sh *shard, ref postingsRef, nDocs int) bool {
 	t.Helper()
 	if got := len(sh.text) + len(sh.field); got != len(ref) {
@@ -208,17 +209,20 @@ func checkPostings(t *testing.T, label string, sh *shard, ref postingsRef, nDocs
 			t.Errorf("%s: no list for %s", label, name)
 			return false
 		}
-		if got := sh.appendPostings(nil, p); !slices.Equal(got, want) {
-			t.Errorf("%s: list %s = %v, reference %v", label, name, got, want)
-			return false
-		}
-		for _, stride := range []int{1, 7} {
-			cur := sh.postCursor(p)
-			for off := 0; off < nDocs; off += stride {
-				_, in := slices.BinarySearch(want, int32(off))
-				if cur.contains(int32(off)) != in {
-					t.Errorf("%s: cursor over %s (stride %d) says contains(%d) = %v; list %v", label, name, stride, off, !in, want)
-					return false
+		for _, from := range []int{0, 1, postChunkLen + 1, nDocs / 2, nDocs - 1, nDocs} {
+			i, _ := slices.BinarySearch(want, int32(from))
+			if got := sh.appendPostings(nil, p, int32(from)); !slices.Equal(got, want[i:]) {
+				t.Errorf("%s: list %s from %d = %v, reference %v", label, name, from, got, want[i:])
+				return false
+			}
+			for _, stride := range []int{1, 7} {
+				cur := sh.postCursor(p, int32(from))
+				for off := from; off < nDocs; off += stride {
+					_, in := slices.BinarySearch(want, int32(off))
+					if cur.contains(int32(off)) != in {
+						t.Errorf("%s: cursor over %s from %d (stride %d) says contains(%d) = %v; list %v", label, name, from, stride, off, !in, want)
+						return false
+					}
 				}
 			}
 		}

@@ -252,14 +252,19 @@ func diffQueries(rng *rand.Rand) []Query {
 }
 
 // checkReads compares every read of q against the reference over docs,
-// which must carry the ids the store assigned.
-func checkReads(t *testing.T, label string, st *Store, docs []Doc, q Query) {
+// which must carry the ids the store assigned. Search runs at each of
+// sizes; nil means sizes derived from the match count: none, unbounded,
+// small, exactly the count and above it.
+func checkReads(t *testing.T, label string, st *Store, docs []Doc, q Query, sizes []int) {
 	t.Helper()
 	ref := refMatch(docs, q)
 	if got := st.CountQuery(q); got != len(ref) {
 		t.Fatalf("%s: CountQuery = %d, reference %d", label, got, len(ref))
 	}
-	for _, size := range []int{0, -1, 1, 3, len(ref), len(ref) + 5} {
+	if sizes == nil {
+		sizes = []int{0, -1, 1, 3, len(ref), len(ref) + 5}
+	}
+	for _, size := range sizes {
 		for _, asc := range []bool{false, true} {
 			want := refSearch(docs, ref, size, asc)
 			hits := st.Search(SearchRequest{Query: q, Size: size, SortAsc: asc})
@@ -346,7 +351,7 @@ func TestReadPathDifferential(t *testing.T) {
 		for _, stage := range stages {
 			stage.apply()
 			for qi, q := range diffQueries(rng) {
-				checkReads(t, fmt.Sprintf("trial %d %s query %d %#v", trial, stage.name, qi, q), st, docs, q)
+				checkReads(t, fmt.Sprintf("trial %d %s query %d %#v", trial, stage.name, qi, q), st, docs, q, nil)
 			}
 		}
 	}
@@ -417,13 +422,13 @@ func TestOneFieldShouldDifferential(t *testing.T) {
 		{"two fields", Bool{Must: []Query{host}, Should: []Query{Term{Field: "_part", Value: "p0"}, Term{Field: "seq", Value: "7"}}}, false, false},
 		{"not all terms", Bool{Must: []Query{host}, Should: append(in("p0", "p1"), Match{Text: "filler"})}, false, false},
 	} {
-		ev := sh.bind(tc.q)
+		ev := sh.bindFrom(tc.q, 0)
 		root := ev.nodes[0]
 		ev.release()
 		if root.oneField != tc.oneField || root.driven != tc.driven {
 			t.Errorf("%s: compiled with oneField=%v driven=%v, want %v and %v", tc.name, root.oneField, root.driven, tc.oneField, tc.driven)
 		}
-		checkReads(t, tc.name, st, docs, tc.q)
+		checkReads(t, tc.name, st, docs, tc.q, nil)
 	}
 	st.Delete(docs[0].ID)
 	st.Compact() // the rebuild refills pairPost; fieldMemo resets again on the way
@@ -431,7 +436,7 @@ func TestOneFieldShouldDifferential(t *testing.T) {
 		Bool{Must: []Query{host}, Should: in("p0", "p2", "P3")},
 		Bool{Must: []Query{Match{Text: "alpha"}}, Should: in("p1", "p9")},
 	} {
-		checkReads(t, fmt.Sprintf("compacted %#v", q), st, docs[1:], q)
+		checkReads(t, fmt.Sprintf("compacted %#v", q), st, docs[1:], q, nil)
 	}
 }
 
@@ -718,7 +723,7 @@ func TestReadPathDifferentialConcurrent(t *testing.T) {
 		}
 	}
 	for qi, q := range queries {
-		checkReads(t, fmt.Sprintf("quiescent query %d %#v", qi, q), st, live, q)
+		checkReads(t, fmt.Sprintf("quiescent query %d %#v", qi, q), st, live, q, nil)
 	}
 }
 
@@ -824,13 +829,13 @@ func TestParallelStripesEqualSerial(t *testing.T) {
 				t.Fatalf("shard %d: %d %s lists, serial replay has %d", si, len(lists[0]), name, len(lists[1]))
 			}
 			for key, p := range lists[0] {
-				if got, want := sh.appendPostings(nil, p), serial.appendPostings(nil, lists[1][key]); !slices.Equal(got, want) {
+				if got, want := sh.appendPostings(nil, p, 0), serial.appendPostings(nil, lists[1][key], 0); !slices.Equal(got, want) {
 					t.Fatalf("shard %d: %s list %q = %v, serial replay %v", si, name, key, got, want)
 				}
 			}
 		}
 		for id, p := range sh.pairPost {
-			if !slices.Equal(sh.appendPostings(nil, p), serial.appendPostings(nil, serial.pairPost[id])) {
+			if !slices.Equal(sh.appendPostings(nil, p, 0), serial.appendPostings(nil, serial.pairPost[id], 0)) {
 				t.Fatalf("shard %d: pair %d names a different list than in the serial replay", si, id)
 			}
 		}

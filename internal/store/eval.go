@@ -21,6 +21,10 @@ import (
 // evaluator covers every shape: there is no fallback scan that materializes
 // documents. Query.matches(*Doc) remains only as the reference the
 // differential tests compare against.
+//
+// An evaluator can be bound from an offset: it then sees only the documents
+// stored at or past it, which is how a view (view.go) extends an earlier
+// answer by what was appended since.
 
 type nodeKind uint8
 
@@ -73,12 +77,14 @@ type postCursor struct {
 	inl   [postInline]int32
 }
 
-func (s *shard) postCursor(p *postings) postCursor {
+// postCursor returns a cursor over p for offsets at or past from.
+func (s *shard) postCursor(p *postings, from int32) postCursor {
 	if p.count <= postInline {
 		return postCursor{n: p.count, inl: [postInline]int32{p.head, p.tail}}
 	}
-	c := postCursor{s: s, rest: p.count}
-	c.load(s.chunkAt(p.head))
+	ci, rest := s.skipTo(p, from)
+	c := postCursor{s: s, rest: rest}
+	c.load(s.chunkAt(ci))
 	return c
 }
 
@@ -108,7 +114,9 @@ func (c *postCursor) contains(off int32) bool {
 // walk needs. Pooled: the steady-state Term and Match paths allocate
 // nothing.
 type evaluator struct {
-	s     *shard
+	s *shard
+	// from is the first offset the walk covers.
+	from  int32
 	nodes []enode
 	posts []*postings
 	curs  []postCursor // curs[i] walks posts[i]
@@ -120,28 +128,25 @@ type evaluator struct {
 	cands []int32
 	lists []*postings
 	bits  []uint64
-
-	// tally is the per-shard accumulator of Terms and Pivot, kept here so
-	// it is reused across shards and queries.
-	tally tally
 }
 
 var evaluatorPool = sync.Pool{New: func() any { return new(evaluator) }}
 
-// maxScratchCands caps the candidate-list capacity, and maxScratchBuckets
-// the tally slots, a pooled evaluator may retain; a one-off query over a
-// huge posting list or a high-cardinality field should not pin its
-// working set in the pool forever.
+// maxScratchCands caps the candidate-list capacity a pooled evaluator may
+// retain, and maxScratchBuckets the entries of a view's state a shard
+// keeps: a one-off query over a huge posting list or a high-cardinality
+// field should not pin its working set forever.
 const (
 	maxScratchCands   = 1 << 20
 	maxScratchBuckets = 1 << 12
 )
 
-// bind compiles q against s and stages its candidates. The caller holds
-// s's read lock and keeps it until it has released the evaluator.
-func (s *shard) bind(q Query) *evaluator {
+// bindFrom compiles q against s and stages its candidates at or past
+// offset from. The caller holds s's read lock and keeps it until it has
+// released the evaluator.
+func (s *shard) bindFrom(q Query, from int) *evaluator {
 	ev := evaluatorPool.Get().(*evaluator)
-	ev.s = s
+	ev.s, ev.from = s, int32(from)
 	ev.nodes = append(ev.nodes[:0], enode{})
 	ev.compile(q, 0)
 	ev.lists = ev.lists[:0]
@@ -165,7 +170,6 @@ func (ev *evaluator) release() {
 	if cap(ev.cands) > maxScratchCands {
 		ev.cands, ev.bits = nil, nil
 	}
-	ev.tally.reset()
 	evaluatorPool.Put(ev)
 }
 
@@ -206,14 +210,17 @@ func (ev *evaluator) compile(q Query, at int32) {
 	case Bool:
 		ev.compileBool(&n, t)
 	default:
-		// The AST is sealed by Query's unexported method; only a pointer to
-		// one of the five node types can land here, which no constructor or
-		// parser in this module produces. (The message leaves q out so that
-		// queries do not escape to the heap at every call site.)
-		panic("store: query node is not one of MatchAll, Term, Match, TimeRange, Bool")
+		panic(errQueryNode)
 	}
 	ev.nodes[at] = n
 }
+
+// errQueryNode is the panic of a query node outside the AST. The AST is
+// sealed by Query's unexported method; only a pointer to one of the five
+// node types can be one, which no constructor or parser in this module
+// produces. (The message leaves the node out so that queries do not escape
+// to the heap at every call site.)
+const errQueryNode = "store: query node is not one of MatchAll, Term, Match, TimeRange, Bool"
 
 // addList stages p and a cursor over it; a nil list (no document on this
 // shard has the term) reports false.
@@ -222,7 +229,7 @@ func (ev *evaluator) addList(p *postings) bool {
 		return false
 	}
 	ev.posts = append(ev.posts, p)
-	ev.curs = append(ev.curs, ev.s.postCursor(p))
+	ev.curs = append(ev.curs, ev.s.postCursor(p, ev.from))
 	return true
 }
 
@@ -351,18 +358,19 @@ func (ev *evaluator) driver(at int32, mode driverMode) int {
 	return -1
 }
 
-// stageCands materializes the union of ev.lists into ev.cands, ascending.
-// One list is copied out chunk by chunk; several are unioned through a
-// bitmap over the shard's offsets.
+// stageCands materializes the union of ev.lists at or past ev.from into
+// ev.cands, ascending. One list is copied out chunk by chunk; several are
+// unioned through a bitmap over the shard's offsets from ev.from on.
 func (ev *evaluator) stageCands() {
 	s := ev.s
 	ev.cands = ev.cands[:0]
 	switch len(ev.lists) {
 	case 0:
 	case 1:
-		ev.cands = s.appendPostings(ev.cands, ev.lists[0])
+		ev.cands = s.appendPostings(ev.cands, ev.lists[0], ev.from)
 	default:
-		words := (len(s.ents) + 63) / 64
+		base := ev.from &^ 63
+		words := (len(s.ents) - int(base) + 63) / 64
 		if cap(ev.bits) < words {
 			ev.bits = make([]uint64, words)
 		}
@@ -370,28 +378,30 @@ func (ev *evaluator) stageCands() {
 		clear(bm)
 		for _, p := range ev.lists {
 			// cands doubles as the staging buffer; it is rebuilt below.
-			ev.cands = s.appendPostings(ev.cands[:0], p)
+			ev.cands = s.appendPostings(ev.cands[:0], p, ev.from)
 			for _, off := range ev.cands {
+				off -= base
 				bm[off>>6] |= 1 << (uint(off) & 63)
 			}
 		}
 		ev.cands = ev.cands[:0]
 		for w, word := range bm {
 			for word != 0 {
-				ev.cands = append(ev.cands, int32(w<<6+bits.TrailingZeros64(word)))
+				ev.cands = append(ev.cands, base+int32(w<<6+bits.TrailingZeros64(word)))
 				word &= word - 1
 			}
 		}
 	}
 }
 
-// each calls fn for every live document the query matches, in ascending
-// offset order, and returns how many entries it visited to find them.
+// each calls fn for every live document at or past ev.from the query
+// matches, in ascending offset order, and returns how many entries it
+// visited to find them.
 func (ev *evaluator) each(fn func(off int32, e *docEnt)) (visited int) {
 	s := ev.s
 	hasDead := len(s.dead) > 0
 	if ev.all {
-		for i := range s.ents {
+		for i := int(ev.from); i < len(s.ents); i++ {
 			off := int32(i)
 			if hasDead && s.deleted(off) {
 				continue
@@ -400,7 +410,7 @@ func (ev *evaluator) each(fn func(off int32, e *docEnt)) (visited int) {
 				fn(off, e)
 			}
 		}
-		return len(s.ents)
+		return len(s.ents) - int(ev.from)
 	}
 	for _, off := range ev.cands {
 		if hasDead && s.deleted(off) {

@@ -7,8 +7,11 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
+
+	"hetsyslog/internal/obs"
 )
 
 func postJSON(t *testing.T, srv *httptest.Server, path string, body any) *http.Response {
@@ -87,9 +90,19 @@ func TestHTTPAggregations(t *testing.T) {
 	}
 }
 
+// TestHTTPStats reads /stats and the store's metrics after a count, read
+// twice, kept a view on each shard (four misses, counted before the
+// registry was attached) and, repeated after a delete, extended one of them
+// and restarted the other.
 func TestHTTPStats(t *testing.T) {
 	st := New(2)
 	seed(st)
+	st.CountQuery(MatchAll{})
+	st.CountQuery(MatchAll{})
+	reg := obs.NewRegistry()
+	st.Instrument(reg)
+	st.Delete(0)
+	st.CountQuery(MatchAll{})
 	srv := httptest.NewServer(st.Handler())
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/stats")
@@ -97,12 +110,23 @@ func TestHTTPStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var s Stats
+	var s map[string]int64
 	if err := json.NewDecoder(resp.Body).Decode(&s); err != nil {
 		t.Fatal(err)
 	}
-	if s.Docs != 5 || s.Shards != 2 {
+	if s["docs"] != 4 || s["shards"] != 2 || s["views"] != 2 ||
+		s["view_hits"] != 1 || s["view_misses"] != 4 || s["view_resets"] != 1 {
 		t.Errorf("stats = %+v", s)
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"store_views 2\n", "# TYPE store_view_resets_total counter\n",
+		"store_view_hits_total 1\n", "store_view_misses_total 4\n", "store_view_resets_total 1\n"} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("exposition lacks %q", want)
+		}
 	}
 }
 

@@ -225,51 +225,63 @@ func (st *Store) Search(req SearchRequest) []Hit {
 // (every match when k < 0) and the number of entries visited. The caller
 // holds the read lock. Selection keeps a k-bounded heap with the worst
 // kept entry at the root, so a broad query costs one key comparison per
-// match and memory for k keys.
+// match and memory for k keys. The heap lives in the shard's view: the
+// k best of the documents seen so far plus the new matches are the k
+// best of the shard, so a repeated search walks only what was appended.
 func (s *shard) topK(q Query, k int, asc bool) (h []topEnt, visited int) {
-	ev := s.bind(q)
-	defer ev.release()
-	if k >= 0 {
-		bound := len(s.ents)
-		if !ev.all {
-			bound = len(ev.cands)
-		}
-		h = make([]topEnt, 0, min(k, bound))
+	if k < 0 {
+		ev := s.bindFrom(q, 0)
+		defer ev.release()
+		visited = ev.each(func(off int32, e *docEnt) {
+			h = append(h, topEnt{sec: e.sec, id: e.id, nsec: e.nsec, off: off})
+		})
+		return h, visited
 	}
-	visited = ev.each(func(off int32, e *docEnt) {
-		t := topEnt{sec: e.sec, id: e.id, nsec: e.nsec, off: off}
-		switch {
-		case k < 0 || len(h) < k:
-			h = append(h, t)
-			if k >= 0 {
-				// Sift up: a parent is never better than its children.
-				for i := len(h) - 1; i > 0; {
-					p := (i - 1) / 2
-					if !h[p].before(h[i], asc) {
-						break
-					}
-					h[p], h[i] = h[i], h[p]
-					i = p
-				}
-			}
-		case t.before(h[0], asc):
-			h[0] = t
-			for i := 0; ; {
-				worst := i
-				for c := 2*i + 1; c <= 2*i+2 && c < len(h); c++ {
-					if h[worst].before(h[c], asc) {
-						worst = c
-					}
-				}
-				if worst == i {
-					break
-				}
-				h[i], h[worst] = h[worst], h[i]
-				i = worst
-			}
-		}
+	key := newViewKey(opSearch).num(int64(k)).flag(asc).query(q)
+	defer key.release()
+	visited = s.read(key.b, q, func(ev *evaluator, v *view) int {
+		visited := ev.each(func(off int32, e *docEnt) {
+			v.top = pushTop(v.top, topEnt{sec: e.sec, id: e.id, nsec: e.nsec, off: off}, k, asc)
+		})
+		// The view is the next reader's once put back: hand out a copy.
+		h = slices.Clone(v.top)
+		return visited
 	})
 	return h, visited
+}
+
+// pushTop offers t to h, a heap of at most k > 0 entries with the worst
+// kept entry at the root, and returns the heap.
+func pushTop(h []topEnt, t topEnt, k int, asc bool) []topEnt {
+	switch {
+	case len(h) < k:
+		h = append(h, t)
+		// Sift up: a parent is never better than its children.
+		for i := len(h) - 1; i > 0; {
+			p := (i - 1) / 2
+			if !h[p].before(h[i], asc) {
+				break
+			}
+			h[p], h[i] = h[i], h[p]
+			i = p
+		}
+	case t.before(h[0], asc):
+		h[0] = t
+		for i := 0; ; {
+			worst := i
+			for c := 2*i + 1; c <= 2*i+2 && c < len(h); c++ {
+				if h[worst].before(h[c], asc) {
+					worst = c
+				}
+			}
+			if worst == i {
+				break
+			}
+			h[i], h[worst] = h[worst], h[i]
+			i = worst
+		}
+	}
+	return h
 }
 
 // CountQuery returns the number of documents matching q.
@@ -285,13 +297,17 @@ func (st *Store) CountQuery(q Query) int {
 	return n
 }
 
-// count evaluates q on one shard and returns the matches and the entries
-// visited; it allocates nothing.
+// count evaluates q on one shard through its view and returns the matches
+// and the entries visited; once the view exists it allocates nothing.
 func (s *shard) count(q Query) (n, visited int) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	ev := s.bind(q)
-	defer ev.release()
-	visited = ev.each(func(int32, *docEnt) { n++ })
+	key := newViewKey(opCount).query(q)
+	defer key.release()
+	visited = s.read(key.b, q, func(ev *evaluator, v *view) int {
+		visited := ev.each(func(int32, *docEnt) { v.n++ })
+		n = v.n
+		return visited
+	})
 	return n, visited
 }

@@ -80,6 +80,7 @@ func (sh *shard) compactLocked() {
 	if len(sh.dead) == 0 {
 		return
 	}
+	sh.gen++
 	live := len(sh.ents) - len(sh.dead)
 	if live == 0 {
 		// Everything expired at once — the common shape when retention

@@ -2,7 +2,10 @@
 // paper's OpenSearch cluster (§4.2): a sharded in-process document store
 // with an inverted index over message text and metadata fields, boolean and
 // time-range queries, and the aggregations (date histogram, terms) that the
-// monitoring views consume. Shards are searched in parallel.
+// monitoring views consume. Search selects each shard's hits in parallel;
+// the aggregations and counts walk the shards one after another. Every
+// read but an unbounded search keeps a per-shard view of its answer
+// (view.go), so repeating it walks only the documents appended since.
 //
 // Storage is arena-backed (see arena.go): IndexBatch copies every retained
 // byte — bodies and field strings — into shard-owned slabs, so callers keep
@@ -192,6 +195,18 @@ type shard struct {
 	// memoHits/memoMisses count bodyMemo outcomes, for Stats.
 	memoHits   int64
 	memoMisses int64
+
+	// gen counts the changes that are not appends — tombstones and
+	// compactions; a view built under an older gen restarts (view.go).
+	gen uint64
+	// vmu guards views, every view's busy flag, and seen, the hashes of
+	// keys read once and kept no view yet. Readers share the read lock, so
+	// views need a lock of their own; it is taken inside mu, never around
+	// it. reads is the store's count of how reads found their views.
+	vmu   sync.Mutex
+	views map[string]*view
+	seen  map[uint64]struct{}
+	reads *viewReads
 }
 
 // offByID locates a document's offset by binary search over ents, which is
@@ -224,6 +239,7 @@ func (s *shard) tombstone(off int32) {
 		s.dead = make(map[int32]struct{})
 	}
 	s.dead[off] = struct{}{}
+	s.gen++
 }
 
 func newShard(idx, stride int64) *shard {
@@ -513,6 +529,10 @@ type Store struct {
 	queryLat      *obs.Histogram
 	queryCands    *obs.Histogram
 	materialized  *obs.Counter
+
+	// viewReads counts, across shards, how per-shard reads found their
+	// views. It counts with or without a registry; Instrument publishes it.
+	viewReads viewReads
 }
 
 // candidateBuckets spans one entry to a 16M-entry store in powers of four.
@@ -546,7 +566,8 @@ func (st *Store) Instrument(r *obs.Registry) {
 	st.queryLat = r.Histogram("store_query_seconds",
 		"query latency across all operations", obs.LatencyBuckets)
 	st.queryCands = r.Histogram("store_query_candidates",
-		"index entries visited per query, summed over shards, across all operations",
+		"index entries walked per query, summed over shards, across all operations; "+
+			"a read answered from a kept view walks only the entries appended since",
 		candidateBuckets)
 	st.materialized = r.Counter("store_docs_materialized_total",
 		"documents copied out of the arenas for Search hits and Get")
@@ -563,6 +584,22 @@ func (st *Store) Instrument(r *obs.Registry) {
 	r.GaugeFuncFloat("store_body_memo_hit_ratio",
 		"fraction of indexed docs whose body was already interned",
 		func() float64 { return st.Stats().BodyMemoHitRatio() })
+	r.GaugeFunc("store_views", "incremental read views kept across shards",
+		func() int64 { return st.Stats().Views })
+	vr := &st.viewReads
+	vr.hits = adopt(r, vr.hits, "store_view_hits_total",
+		"per-shard reads that extended a kept view by the documents appended since")
+	vr.misses = adopt(r, vr.misses, "store_view_misses_total",
+		"per-shard reads that found no view to extend and walked from offset 0")
+	vr.resets = adopt(r, vr.resets, "store_view_resets_total",
+		"per-shard reads whose view a delete or Compact restarted from offset 0")
+}
+
+// adopt registers a counter under name in r carrying c's count so far.
+func adopt(r *obs.Registry, c *obs.Counter, name, help string) *obs.Counter {
+	n := r.Counter(name, help)
+	n.Add(c.Value())
+	return n
 }
 
 // observeQuery records one query of the given op; it returns immediately
@@ -590,8 +627,10 @@ func New(nShards int) *Store {
 		nShards = 4
 	}
 	st := &Store{shards: make([]*shard, nShards)}
+	st.viewReads = viewReads{hits: obs.NewCounter(), misses: obs.NewCounter(), resets: obs.NewCounter()}
 	for i := range st.shards {
 		st.shards[i] = newShard(int64(i), int64(nShards))
+		st.shards[i].reads = &st.viewReads
 	}
 	return st
 }
@@ -761,6 +800,14 @@ type Stats struct {
 	// already interned.
 	BodyMemoHits   int64 `json:"body_memo_hits"`
 	BodyMemoMisses int64 `json:"body_memo_misses"`
+	// Views is the number of incremental read views the shards keep. Every
+	// per-shard read but an unbounded search is one of: ViewHits, which
+	// extended a kept view; ViewMisses, which walked from offset 0 in a new
+	// or private view; ViewResets, whose view a delete or Compact restarted.
+	Views      int64 `json:"views"`
+	ViewHits   int64 `json:"view_hits"`
+	ViewMisses int64 `json:"view_misses"`
+	ViewResets int64 `json:"view_resets"`
 }
 
 // BodyMemoHitRatio returns hits/(hits+misses), 0 when nothing indexed.
@@ -774,7 +821,12 @@ func (s Stats) BodyMemoHitRatio() float64 {
 
 // Stats reports document, shard, term and memory-accounting counts.
 func (st *Store) Stats() Stats {
-	s := Stats{Shards: len(st.shards)}
+	s := Stats{
+		Shards:     len(st.shards),
+		ViewHits:   st.viewReads.hits.Value(),
+		ViewMisses: st.viewReads.misses.Value(),
+		ViewResets: st.viewReads.resets.Value(),
+	}
 	for _, sh := range st.shards {
 		sh.mu.RLock()
 		s.Docs += len(sh.ents) - len(sh.dead)
@@ -785,6 +837,9 @@ func (st *Store) Stats() Stats {
 		s.InlinePostings += int64(sh.nInline)
 		s.BodyMemoHits += sh.memoHits
 		s.BodyMemoMisses += sh.memoMisses
+		sh.vmu.Lock()
+		s.Views += int64(len(sh.views))
+		sh.vmu.Unlock()
 		sh.mu.RUnlock()
 	}
 	return s

@@ -16,8 +16,8 @@ type tallyKey struct {
 // of thousands of increments over a few hundred distinct keys, and Go's
 // map spent more than half of a refresh hashing 28-byte struct keys for
 // them (BenchmarkDashboardReads: pivot 11.3 ms with map[tallyKey]int,
-// 3.9 ms with this table). The table is pooled with its evaluator and
-// reset between shards.
+// 3.9 ms with this table). The table is a Terms or Pivot read's view
+// state (view.go), kept per shard between reads.
 type tally struct {
 	keys   []tallyKey
 	counts []int32 // 0 marks an empty slot
