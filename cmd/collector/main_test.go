@@ -34,8 +34,8 @@ func TestFlagParity(t *testing.T) {
 			t.Errorf("flag -%s (default %q) is neither shared nor one of collector's nine", f.Name, f.DefValue)
 		}
 	})
-	if n != 33 {
-		t.Errorf("collector registers %d flags, want the 24 shared + 9", n)
+	if n != 32 {
+		t.Errorf("collector registers %d flags, want the 23 shared + 9", n)
 	}
 
 	if err := fs.Parse([]string{"-model", "Random Forest", "-cooldown", "5s", "-classify-cache=false", "-workers", "3"}); err != nil {

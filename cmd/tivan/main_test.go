@@ -27,8 +27,8 @@ func TestFlagParity(t *testing.T) {
 			t.Errorf("flag -%s (default %q) is neither shared nor one of tivan's two", f.Name, f.DefValue)
 		}
 	})
-	if n != 26 {
-		t.Errorf("tivan registers %d flags, want the 24 shared + 2", n)
+	if n != 25 {
+		t.Errorf("tivan registers %d flags, want the 23 shared + 2", n)
 	}
 
 	if err := fs.Parse([]string{"-data", "snap.jsonl", "-retention", "720h", "-shards", "3"}); err != nil {

@@ -45,6 +45,5 @@ func Flags(fs *flag.FlagSet, cfg *Config) {
 	fs.IntVar(&cfg.Cluster.Replication, "replication", 0, "copies of each document across cluster nodes (0 = default 2)")
 	fs.IntVar(&cfg.Cluster.Partitions, "partitions", 0, "hash partitions for cluster placement (0 = default 32; pick once per cluster)")
 	fs.DurationVar(&cfg.Cluster.TimeSlice, "time-slice", 0, "time bucket mixed into cluster routing so hosts spread over nodes (0 = default 1h)")
-	fs.StringVar(&cfg.Cluster.Codec, "cluster-codec", "", "wire codec for node index batches: binary (default, falls back to json per node) or json")
 	fs.IntVar(&cfg.Cluster.QueryCacheSize, "query-cache-size", 0, "coordinator merged-result cache entries for count/datehist/terms (0 = default 256, negative disables)")
 }

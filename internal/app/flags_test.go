@@ -5,9 +5,8 @@ import (
 	"testing"
 )
 
-// TestSharedFlags pins the 24 flags both binaries had in common when
-// each declared its own: name and default. The binaries' own tests pin
-// what they add.
+// TestSharedFlags pins the 23 flags both binaries share: name and
+// default. The binaries' own tests pin what they add.
 func TestSharedFlags(t *testing.T) {
 	want := map[string]string{
 		"udp": ":5514", "tcp": ":5514", "http": ":9200", "metrics-addr": "",
@@ -16,7 +15,7 @@ func TestSharedFlags(t *testing.T) {
 		"cpuprofile": "", "memprofile": "", "gc-percent": "0",
 		"detect": "false", "detect-window": "0s", "detect-zscore": "0", "detect-max-sources": "0",
 		"cluster-nodes": "", "replication": "0", "partitions": "0", "time-slice": "0s",
-		"cluster-codec": "", "query-cache-size": "0",
+		"query-cache-size": "0",
 	}
 	var cfg Config
 	fs := flag.NewFlagSet("shared", flag.ContinueOnError)

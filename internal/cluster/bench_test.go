@@ -15,7 +15,7 @@ import (
 	"hetsyslog/internal/store"
 )
 
-func benchClusterCfg(b *testing.B, nNodes, replication int, codec string) Config {
+func benchClusterCfg(b *testing.B, nNodes, replication int) Config {
 	b.Helper()
 	_, urls := newTestNodes(b, nNodes)
 	return Config{
@@ -24,24 +24,8 @@ func benchClusterCfg(b *testing.B, nNodes, replication int, codec string) Config
 		Partitions:  32,
 		TimeSlice:   time.Hour,
 		HTTPTimeout: 30 * time.Second,
-		Codec:       codec,
 		Gen:         NewGeneration(),
 	}
-}
-
-func benchCluster(b *testing.B, nNodes, replication int, codec string) (*Router, *Coordinator) {
-	b.Helper()
-	cfg := benchClusterCfg(b, nNodes, replication, codec)
-	rt, err := NewRouter(cfg, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { rt.Close() })
-	co, err := NewCoordinator(cfg, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return rt, co
 }
 
 func benchDocs(n int) []store.Doc {
@@ -59,9 +43,6 @@ func benchDocs(n int) []store.Doc {
 
 // BenchmarkClusterRouterIndexBatch measures routed ingest: one pipeline
 // batch partitioned, stamped, and delivered to every replica over HTTP.
-// The bare replication=N names run the default (binary) codec and are the
-// series compared against prior-PR baselines; the codec-labeled variants
-// isolate the wire-format contribution (json is the pre-PR-8 path).
 //
 // The cluster is recycled off-timer every resetEvery iterations so the
 // node-side corpus stays bounded: without the reset, a faster wire path
@@ -73,17 +54,8 @@ func BenchmarkClusterRouterIndexBatch(b *testing.B) {
 		batch      = 256
 		resetEvery = 128
 	)
-	for _, bc := range []struct {
-		name  string
-		repl  int
-		codec string
-	}{
-		{"replication=1", 1, CodecBinary},
-		{"replication=2", 2, CodecBinary},
-		{"replication=1/codec=json", 1, CodecJSON},
-		{"replication=2/codec=json", 2, CodecJSON},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
+	for _, repl := range []int{1, 2} {
+		b.Run(fmt.Sprintf("replication=%d", repl), func(b *testing.B) {
 			var (
 				rt      *Router
 				servers []*httptest.Server
@@ -99,11 +71,10 @@ func BenchmarkClusterRouterIndexBatch(b *testing.B) {
 				var err error
 				rt, err = NewRouter(Config{
 					Nodes:       urls,
-					Replication: bc.repl,
+					Replication: repl,
 					Partitions:  32,
 					TimeSlice:   time.Hour,
 					HTTPTimeout: 30 * time.Second,
-					Codec:       bc.codec,
 					Gen:         NewGeneration(),
 				}, nil)
 				if err != nil {
@@ -145,7 +116,7 @@ func BenchmarkClusterRouterIndexBatch(b *testing.B) {
 // cache hits; the nocache variants measure the raw scatter every time —
 // the series comparable to pre-PR-8 baselines.
 func BenchmarkClusterScatterGatherQuery(b *testing.B) {
-	cfg := benchClusterCfg(b, 3, 2, CodecBinary)
+	cfg := benchClusterCfg(b, 3, 2)
 	rt, err := NewRouter(cfg, nil)
 	if err != nil {
 		b.Fatal(err)

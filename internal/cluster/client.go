@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"hetsyslog/internal/store"
@@ -28,40 +27,27 @@ type NodeClient struct {
 	// tuned client (see newHTTPClient) across all their NodeClients so the
 	// keep-alive pool spans the whole fan-out.
 	HTTP *http.Client
-	// jsonOnly latches true when the node rejects the binary doc codec
-	// (HTTP 400 from an older build's JSON decoder, 415 from a different
-	// codec version): all later IndexBatchPayload calls renegotiate down
-	// to JSON without retrying binary.
-	jsonOnly atomic.Bool
 }
 
-// NewNodeClient returns a client for the node at baseURL with its own
-// default-transport HTTP client. Cluster routers/coordinators prefer
-// newNodeClientShared so every node shares one tuned transport.
-func NewNodeClient(baseURL string, timeout time.Duration) *NodeClient {
-	return &NodeClient{BaseURL: baseURL, HTTP: &http.Client{Timeout: timeout}}
-}
-
-// newNodeClientShared returns a client for baseURL on a shared HTTP
-// client (one tuned transport for the whole cluster fan-out).
-func newNodeClientShared(baseURL string, httpc *http.Client) *NodeClient {
-	return &NodeClient{BaseURL: baseURL, HTTP: httpc}
-}
+// maxIdleConnsPerHost sizes the shared HTTP transport's keep-alive pool
+// per node. Concurrent fan-out opens one connection per in-flight
+// request; idle conns below this bound are reused instead of re-dialed.
+const maxIdleConnsPerHost = 32
 
 // newHTTPClient builds the shared tuned client for a router or
 // coordinator: keep-alives sized for concurrent per-node fan-out, so
 // steady-state batches ride pooled connections instead of re-dialing.
-func newHTTPClient(timeout time.Duration, maxIdlePerHost int) *http.Client {
+func newHTTPClient(timeout time.Duration) *http.Client {
 	tr := http.DefaultTransport.(*http.Transport).Clone()
-	tr.MaxIdleConnsPerHost = maxIdlePerHost
-	if tr.MaxIdleConns < maxIdlePerHost*4 {
-		tr.MaxIdleConns = maxIdlePerHost * 4
+	tr.MaxIdleConnsPerHost = maxIdleConnsPerHost
+	if tr.MaxIdleConns < maxIdleConnsPerHost*4 {
+		tr.MaxIdleConns = maxIdleConnsPerHost * 4
 	}
 	return &http.Client{Transport: tr, Timeout: timeout}
 }
 
 // statusError is a non-2xx response, preserving the code so callers can
-// distinguish codec rejection (400/415) from node failure.
+// distinguish a refused payload (see rejected) from node failure.
 type statusError struct {
 	url, path string
 	status    int
@@ -70,6 +56,16 @@ type statusError struct {
 
 func (e *statusError) Error() string {
 	return fmt.Sprintf("cluster: node %s: %s: HTTP %d: %s", e.url, e.path, e.status, e.msg)
+}
+
+// rejected reports whether err is a node refusing the payload itself —
+// 400 (undecodable) or 415 (a doc codec version it does not speak) —
+// rather than failing: the node is up, and re-sending the same bytes
+// can never succeed.
+func rejected(err error) bool {
+	var se *statusError
+	return errors.As(err, &se) &&
+		(se.status == http.StatusBadRequest || se.status == http.StatusUnsupportedMediaType)
 }
 
 // do issues one request and decodes the JSON response into out (out ==
@@ -132,32 +128,10 @@ func (c *NodeClient) get(ctx context.Context, path string, out any) error {
 	return c.do(ctx, http.MethodGet, path, "", nil, out)
 }
 
-// IndexBatch bulk-indexes docs on the node via POST /index/batch in the
-// JSON wire form — the compatibility path and the codec's oracle.
-func (c *NodeClient) IndexBatch(ctx context.Context, docs []store.Doc) error {
-	return c.post(ctx, "/index/batch", struct {
-		Docs []store.Doc `json:"docs"`
-	}{docs}, nil)
-}
-
 // IndexBatchPayload bulk-indexes a batch already encoded in the binary
-// doc codec. When the node rejects the codec (old build or foreign
-// version), the client latches JSON-only for this node and re-sends via
-// docs() — the caller provides the fallback lazily so the common path
-// never materializes a per-node doc slice.
-func (c *NodeClient) IndexBatchPayload(ctx context.Context, payload []byte, docs func() []store.Doc) error {
-	if !c.jsonOnly.Load() {
-		err := c.do(ctx, http.MethodPost, "/index/batch", store.DocsContentType, payload, nil)
-		if err == nil {
-			return nil
-		}
-		var se *statusError
-		if !errors.As(err, &se) || (se.status != http.StatusBadRequest && se.status != http.StatusUnsupportedMediaType) {
-			return err
-		}
-		c.jsonOnly.Store(true)
-	}
-	return c.IndexBatch(ctx, docs())
+// doc codec (store.DocsContentType) via POST /index/batch.
+func (c *NodeClient) IndexBatchPayload(ctx context.Context, payload []byte) error {
+	return c.do(ctx, http.MethodPost, "/index/batch", store.DocsContentType, payload, nil)
 }
 
 // Search runs a query on the node. size < 0 means unlimited — the form

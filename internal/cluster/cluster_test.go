@@ -9,13 +9,17 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"hetsyslog/internal/collector"
+	"hetsyslog/internal/resilience"
 	"hetsyslog/internal/store"
 	"hetsyslog/internal/syslog"
 )
@@ -304,16 +308,16 @@ func TestClusterChaosNodeDeathZeroLoss(t *testing.T) {
 	}
 }
 
-// TestClusterChaosNodeDeathBinaryCodecCacheExact is the PR-8 chaos
-// variant: binary wire codec and the coordinator query cache are both
-// live, queries run mid-ingest (populating the cache), and a node dies
-// mid-ingest at replication 2. The cache must never serve a stale result
-// across the failover re-plan — every post-ingest answer is exact — and
-// zero acknowledged records may be lost.
+// TestClusterChaosNodeDeathBinaryCodecCacheExact is the chaos variant
+// with the coordinator query cache live: queries run mid-ingest
+// (populating the cache), and a node dies mid-ingest at replication 2.
+// The cache must never serve a stale result across the failover re-plan —
+// every post-ingest answer is exact — zero acknowledged records may be
+// lost, and the dead node's share waits in its spool as binary wire
+// payloads.
 func TestClusterChaosNodeDeathBinaryCodecCacheExact(t *testing.T) {
 	nodes, urls := newTestNodes(t, 3)
 	cfg := fastClusterCfg(urls, t.TempDir())
-	cfg.Codec = CodecBinary
 	rt, err := NewRouter(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -377,13 +381,14 @@ func TestClusterChaosNodeDeathBinaryCodecCacheExact(t *testing.T) {
 			t.Errorf("node %d lost %d records", i, ns.Lost)
 		}
 	}
-	// The fast path must actually be the binary codec: live nodes never
-	// negotiated down to JSON.
-	if rt.binBatches.Value() == 0 {
-		t.Error("no batches went over the binary codec")
+	// The dead node's spool holds wire payloads: its head frame is a doc
+	// batch the node could take as-is once it returns.
+	frame, _, _, ok, err := rt.nodes[1].spool.Peek()
+	if err != nil || !ok {
+		t.Fatalf("dead node's spool is empty (ok=%v, err=%v)", ok, err)
 	}
-	if rt.jsonBatches.Value() != 0 {
-		t.Errorf("%d batches fell back to JSON against same-build nodes", rt.jsonBatches.Value())
+	if _, err := store.DecodeDocs(frame, nil); err != nil {
+		t.Errorf("spooled frame is not a wire payload: %v", err)
 	}
 
 	// Post-ingest exactness through the cache: the first count re-scatters
@@ -514,6 +519,144 @@ func TestClusterSpoolReplayAfterRecovery(t *testing.T) {
 		if i == 1 && ns.Replayed == 0 {
 			t.Error("recovered node saw no replayed records")
 		}
+	}
+}
+
+// TestClusterSpoolReplayByteExact: a node's spooled share is the exact
+// wire payload it would have received live, and replay sends those bytes
+// unmodified — so a record whose body and one field value are not valid
+// UTF-8 reads back byte-identical from the replica that took it live and
+// from the one that took it by replay.
+func TestClusterSpoolReplayByteExact(t *testing.T) {
+	const badBody, badValue = "bad \xff\xfe byte", "k\xc3\x28ernel"
+	var broken atomic.Bool
+	broken.Store(true)
+	var mu sync.Mutex
+	accepted := make([][][]byte, 2) // /index/batch bodies each node served
+	stores := []*store.Store{store.New(2), store.New(2)}
+	urls := make([]string, 2)
+	for i, st := range stores {
+		h := st.Handler()
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if i == 1 && broken.Load() {
+				http.Error(w, "node down", http.StatusServiceUnavailable)
+				return
+			}
+			if r.URL.Path == "/index/batch" {
+				body, _ := io.ReadAll(r.Body)
+				mu.Lock()
+				accepted[i] = append(accepted[i], body)
+				mu.Unlock()
+				r.Body = io.NopCloser(bytes.NewReader(body))
+			}
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(srv.Close)
+		urls[i] = srv.URL
+	}
+
+	cfg := fastClusterCfg(urls, t.TempDir()) // replication 2 of 2: both nodes hold every doc
+	rt, err := NewRouter(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Start(context.Background())
+	defer rt.Close()
+
+	ts := time.Date(2023, 7, 1, 0, 0, 0, 0, time.UTC)
+	docs := []store.Doc{
+		{Time: ts, Fields: store.F("hostname", "cn001", "app", badValue), Body: badBody},
+		{Time: ts, Fields: store.F("hostname", "cn002", "app", "sshd"), Body: "session opened"},
+	}
+	if err := rt.IndexBatch(context.Background(), docs); err != nil {
+		t.Fatal(err)
+	}
+	// Node 1's share sits in its spool as the very payload node 0 took
+	// live (both nodes hold the same docs in the same order).
+	frame, _, _, ok, err := rt.nodes[1].spool.Peek()
+	if err != nil || !ok {
+		t.Fatalf("node 1's share never reached its spool (ok=%v, err=%v)", ok, err)
+	}
+	mu.Lock()
+	live := accepted[0]
+	mu.Unlock()
+	if len(live) != 1 || !bytes.Equal(frame, live[0]) {
+		t.Errorf("spool frame (%d bytes) is not the wire payload node 0 received (%d bodies)", len(frame), len(live))
+	}
+
+	broken.Store(false)
+	for deadline := time.Now().Add(20 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if ns := rt.Stats()[1]; ns.SpoolRecords == 0 && ns.Replayed == int64(len(docs)) {
+			break
+		}
+	}
+	if ns := rt.Stats()[1]; ns.SpoolRecords != 0 || ns.Replayed != int64(len(docs)) || ns.Lost != 0 {
+		t.Fatalf("replay did not drain: %+v", ns)
+	}
+	mu.Lock()
+	replayed := accepted[1]
+	mu.Unlock()
+	if len(replayed) != 1 || !bytes.Equal(replayed[0], frame) {
+		t.Errorf("recovered node received %d bodies, want exactly the %d-byte spooled frame", len(replayed), len(frame))
+	}
+
+	for i, st := range stores {
+		hits := st.Search(store.SearchRequest{Query: store.Term{Field: "hostname", Value: "cn001"}, Size: -1})
+		if len(hits) != 1 {
+			t.Fatalf("node %d holds %d copies of the record, want 1", i, len(hits))
+		}
+		if d := hits[0].Doc; d.Body != badBody || d.Fields.Value("app") != badValue {
+			t.Errorf("node %d reads back body %q app %q, want %q %q", i, d.Body, d.Fields.Value("app"), badBody, badValue)
+		}
+	}
+}
+
+// TestClusterSpoolRejectedFrames: a spooled frame the node refuses — junk
+// here, as a frame an older build spooled in another format would be — is
+// dropped and counted lost, the frames behind it still replay, and the
+// refusal is a node reply, not a node failure: the breaker never trips.
+func TestClusterSpoolRejectedFrames(t *testing.T) {
+	nodes, urls := newTestNodes(t, 2)
+	dir := t.TempDir()
+	sp, err := resilience.OpenSpool(resilience.SpoolConfig{Dir: filepath.Join(dir, "node-1")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := []store.Doc{
+		{Time: time.Date(2023, 7, 1, 0, 0, 0, 0, time.UTC), Fields: store.F("hostname", "cn001"), Body: "after the junk"},
+		{Time: time.Date(2023, 7, 1, 0, 0, 1, 0, time.UTC), Fields: store.F("hostname", "cn002"), Body: "still replayed"},
+	}
+	if _, err := sp.Append([]byte("not a doc batch"), 7); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sp.Append(store.EncodeDocs(nil, valid), len(valid)); err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rt, err := NewRouter(fastClusterCfg(urls, dir), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Start(context.Background())
+	defer rt.Close()
+	for deadline := time.Now().Add(20 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if rt.Stats()[1].SpoolRecords == 0 {
+			break
+		}
+	}
+	ns := rt.Stats()[1]
+	if ns.SpoolRecords != 0 || ns.Lost != 7 || ns.Replayed != int64(len(valid)) {
+		t.Fatalf("node 1 stats %+v, want the junk frame's 7 lost and %d replayed", ns, len(valid))
+	}
+	if n := nodes[1].store.Count(); n != len(valid) {
+		t.Errorf("node 1 holds %d docs, want the valid frame's %d", n, len(valid))
+	}
+	if ns.Breaker != "closed" || rt.nodes[1].breaker.Trips() != 0 {
+		t.Errorf("breaker %s after %d trips: a refused frame was charged as a node failure",
+			ns.Breaker, rt.nodes[1].breaker.Trips())
 	}
 }
 

@@ -42,27 +42,13 @@ const PartitionField = "_part"
 
 // Defaults applied by Config.withDefaults.
 const (
-	DefaultPartitions          = 32
-	DefaultReplication         = 2
-	DefaultTimeSlice           = time.Hour
-	DefaultReplayInterval      = 250 * time.Millisecond
-	DefaultHTTPTimeout         = 30 * time.Second
-	DefaultBreakerThreshold    = 3
-	DefaultMaxIdleConnsPerHost = 32
-	DefaultQueryCacheSize      = 256
-)
-
-// Codec values for Config.Codec: how the router serializes /index/batch
-// payloads to store nodes.
-const (
-	// CodecBinary is the compact length-prefixed doc codec (store's
-	// DocsContentType). Each batch encodes once; per-node payloads reuse
-	// the shared doc spans. Nodes that do not speak it negotiate the
-	// client down to JSON transparently.
-	CodecBinary = "binary"
-	// CodecJSON forces the JSON wire form everywhere — the compatibility
-	// fallback, kept as the codec's differential oracle.
-	CodecJSON = "json"
+	DefaultPartitions       = 32
+	DefaultReplication      = 2
+	DefaultTimeSlice        = time.Hour
+	DefaultReplayInterval   = 250 * time.Millisecond
+	DefaultHTTPTimeout      = 30 * time.Second
+	DefaultBreakerThreshold = 3
+	DefaultQueryCacheSize   = 256
 )
 
 // Config describes the cluster membership and the router/coordinator
@@ -94,29 +80,17 @@ type Config struct {
 	// BreakerThreshold is the consecutive failures that trip a node's
 	// circuit breaker (default 3).
 	BreakerThreshold int
-	// RetryBackoff / MaxRetryBackoff / RetryJitter shape each node
-	// breaker's backoff ladder (defaults from resilience.NewBreaker).
+	// RetryBackoff / MaxRetryBackoff shape each node breaker's backoff
+	// ladder (defaults, and the jitter, from resilience.NewBreaker; node i
+	// seeds its jitter with i+1 so breakers desynchronize).
 	RetryBackoff    time.Duration
 	MaxRetryBackoff time.Duration
-	RetryJitter     float64
 	// ReplayInterval is how often each node's replayer polls its spool
 	// (default 250ms).
 	ReplayInterval time.Duration
 	// HTTPTimeout bounds each HTTP call to a node (default 30s). The
 	// caller's context still applies on top.
 	HTTPTimeout time.Duration
-	// Seed seeds the per-node breaker jitter (default 1; node i uses
-	// Seed+i so breakers desynchronize).
-	Seed int64
-	// Codec selects the /index/batch wire form: CodecBinary (default) or
-	// CodecJSON. Binary-speaking clients fall back to JSON per node when a
-	// node rejects the codec, so mixed-version clusters keep working.
-	Codec string
-	// MaxIdleConnsPerHost sizes the shared HTTP transport's keep-alive
-	// pool per node (default 32). Concurrent fan-out opens one connection
-	// per in-flight request; idle conns below this bound are reused
-	// instead of re-dialed.
-	MaxIdleConnsPerHost int
 	// QueryCacheSize bounds the coordinator's merged-result cache in
 	// entries (0 = default 256, negative = disabled). The cache also
 	// requires Gen: without an ingest signal there is nothing to key
@@ -170,14 +144,6 @@ func (c Config) Validate() error {
 	if c.HTTPTimeout < 0 {
 		errs = append(errs, fmt.Errorf("cluster: HTTPTimeout must be >= 0 (got %v)", c.HTTPTimeout))
 	}
-	switch c.Codec {
-	case "", CodecBinary, CodecJSON:
-	default:
-		errs = append(errs, fmt.Errorf("cluster: Codec must be %q or %q (got %q)", CodecBinary, CodecJSON, c.Codec))
-	}
-	if c.MaxIdleConnsPerHost < 0 {
-		errs = append(errs, fmt.Errorf("cluster: MaxIdleConnsPerHost must be >= 0 (got %d)", c.MaxIdleConnsPerHost))
-	}
 	return errors.Join(errs...)
 }
 
@@ -203,15 +169,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HTTPTimeout == 0 {
 		c.HTTPTimeout = DefaultHTTPTimeout
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Codec == "" {
-		c.Codec = CodecBinary
-	}
-	if c.MaxIdleConnsPerHost == 0 {
-		c.MaxIdleConnsPerHost = DefaultMaxIdleConnsPerHost
 	}
 	if c.QueryCacheSize == 0 {
 		c.QueryCacheSize = DefaultQueryCacheSize

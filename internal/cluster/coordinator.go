@@ -49,9 +49,9 @@ func NewCoordinator(cfg Config, reg *obs.Registry) (*Coordinator, error) {
 	co := &Coordinator{cfg: cfg, ring: newRing(cfg)}
 	// One tuned transport spans every node, same as the router's, so
 	// scatter rounds ride pooled keep-alive connections.
-	httpc := newHTTPClient(cfg.HTTPTimeout, cfg.MaxIdleConnsPerHost)
+	httpc := newHTTPClient(cfg.HTTPTimeout)
 	for _, url := range cfg.Nodes {
-		co.clients = append(co.clients, newNodeClientShared(url, httpc))
+		co.clients = append(co.clients, &NodeClient{BaseURL: url, HTTP: httpc})
 	}
 	if cfg.Gen != nil && cfg.QueryCacheSize > 0 {
 		co.gen = cfg.Gen

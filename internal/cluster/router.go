@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"path/filepath"
 	"strconv"
@@ -48,8 +46,6 @@ type Router struct {
 
 	writeLat     *obs.Histogram
 	payloadBytes *obs.Histogram
-	binBatches   *obs.Counter
-	jsonBatches  *obs.Counter
 }
 
 // routerNode is one store node's delivery state.
@@ -80,23 +76,18 @@ func NewRouter(cfg Config, reg *obs.Registry) (*Router, error) {
 		"router batch fan-out latency per sink write", obs.LatencyBuckets)
 	rt.payloadBytes = reg.Histogram("cluster_codec_payload_bytes",
 		"per-node /index/batch payload size", obs.ByteBuckets)
-	rt.binBatches = reg.Counter(`cluster_codec_batches_total{codec="binary"}`,
-		"per-node index batches sent, by wire codec")
-	rt.jsonBatches = reg.Counter(`cluster_codec_batches_total{codec="json"}`,
-		"per-node index batches sent, by wire codec")
 	// One tuned transport spans every node so concurrent fan-out reuses
 	// keep-alive connections instead of re-dialing per batch.
-	httpc := newHTTPClient(cfg.HTTPTimeout, cfg.MaxIdleConnsPerHost)
+	httpc := newHTTPClient(cfg.HTTPTimeout)
 	for i, url := range cfg.Nodes {
 		nd := &routerNode{
 			url:    url,
-			client: newNodeClientShared(url, httpc),
+			client: &NodeClient{BaseURL: url, HTTP: httpc},
 			breaker: resilience.NewBreaker(resilience.BreakerConfig{
 				FailureThreshold: cfg.BreakerThreshold,
 				InitialBackoff:   cfg.RetryBackoff,
 				MaxBackoff:       cfg.MaxRetryBackoff,
-				Jitter:           cfg.RetryJitter,
-				Seed:             cfg.Seed + int64(i),
+				Seed:             int64(i) + 1,
 			}),
 			delivered: reg.Counter(nodeMetric("cluster_node_delivered_total", i),
 				"records delivered to each node (live writes)"),
@@ -193,7 +184,9 @@ func (rt *Router) Write(ctx context.Context, batch []collector.Record) error {
 // encodedBatch is one batch's shared binary encoding: every doc encoded
 // exactly once into buf, with off[i]:off[i+1] spanning doc i. Per-node
 // payloads are assembled by copying the relevant spans after a header —
-// a memcpy per replica instead of a re-marshal per replica.
+// a memcpy per replica instead of a re-marshal per replica. A node's
+// payload is the one form its share of the batch ever takes: the body
+// POSTed to it, and byte for byte the frame spooled for it.
 type encodedBatch struct {
 	buf []byte
 	off []int
@@ -248,10 +241,7 @@ func (rt *Router) IndexBatch(ctx context.Context, docs []store.Doc) error {
 			perNode[n] = append(perNode[n], i)
 		}
 	}
-	var enc *encodedBatch
-	if rt.cfg.Codec != CodecJSON {
-		enc = encodeBatch(docs)
-	}
+	enc := encodeBatch(docs)
 	// Concurrent fan-out: each replica node's delivery (HTTP round-trip
 	// or spool append) proceeds independently, so the batch costs one
 	// slowest-node RTT instead of the sum over replicas.
@@ -264,13 +254,11 @@ func (rt *Router) IndexBatch(ctx context.Context, docs []store.Doc) error {
 		wg.Add(1)
 		go func(n int, idxs []int) {
 			defer wg.Done()
-			ok[n] = rt.deliverOrSpool(ctx, n, docs, idxs, enc)
+			ok[n] = rt.deliverOrSpool(ctx, n, enc, idxs)
 		}(n, idxs)
 	}
 	wg.Wait()
-	if enc != nil {
-		enc.release()
-	}
+	enc.release()
 	delivered := false
 	placed := make([]bool, len(docs))
 	for n, idxs := range perNode {
@@ -300,38 +288,18 @@ func (rt *Router) IndexBatch(ctx context.Context, docs []store.Doc) error {
 	return nil
 }
 
-// deliverOrSpool tries a live write of the docs at idxs to node n behind
-// its breaker and falls back to the node's spool. enc carries the batch's
-// shared binary encoding (nil forces the JSON wire form). It reports
-// whether the docs reached a durable place.
-func (rt *Router) deliverOrSpool(ctx context.Context, n int, docs []store.Doc, idxs []int, enc *encodedBatch) bool {
+// deliverOrSpool builds node n's payload for the docs at idxs once, tries
+// it as a live write behind the node's breaker, and otherwise appends the
+// same bytes to the node's spool. It reports whether the docs reached a
+// durable place.
+func (rt *Router) deliverOrSpool(ctx context.Context, n int, enc *encodedBatch, idxs []int) bool {
 	nd := rt.nodes[n]
-	// The JSON fallback and the spool path both need the node's doc
-	// subset; materialize it lazily and at most once.
-	var nodeDocs []store.Doc
-	subset := func() []store.Doc {
-		if nodeDocs == nil {
-			nodeDocs = make([]store.Doc, len(idxs))
-			for j, i := range idxs {
-				nodeDocs[j] = docs[i]
-			}
-		}
-		return nodeDocs
-	}
+	buf := payloadPool.Get().(*[]byte)
+	defer payloadPool.Put(buf)
+	*buf = enc.payload(*buf, idxs)
 	if nd.breaker.Allow() {
-		var err error
-		if enc != nil && !nd.client.jsonOnly.Load() {
-			buf := payloadPool.Get().(*[]byte)
-			*buf = enc.payload(*buf, idxs)
-			rt.payloadBytes.Observe(float64(len(*buf)))
-			rt.binBatches.Inc()
-			err = nd.client.IndexBatchPayload(ctx, *buf, subset)
-			payloadPool.Put(buf)
-		} else {
-			rt.jsonBatches.Inc()
-			err = nd.client.IndexBatch(ctx, subset())
-		}
-		if err == nil {
+		rt.payloadBytes.Observe(float64(len(*buf)))
+		if err := nd.client.IndexBatchPayload(ctx, *buf); err == nil {
 			nd.breaker.Success()
 			nd.delivered.Add(int64(len(idxs)))
 			return true
@@ -339,15 +307,13 @@ func (rt *Router) deliverOrSpool(ctx context.Context, n int, docs []store.Doc, i
 		nd.breaker.Failure()
 	}
 	if nd.spool != nil {
-		if payload, err := encodeDocs(subset()); err == nil {
-			evicted, err2 := nd.spool.Append(payload, len(idxs))
-			if evicted > 0 {
-				nd.evicted.Add(evicted)
-			}
-			if err2 == nil {
-				nd.spooled.Add(int64(len(idxs)))
-				return true
-			}
+		evicted, err := nd.spool.Append(*buf, len(idxs))
+		if evicted > 0 {
+			nd.evicted.Add(evicted)
+		}
+		if err == nil {
+			nd.spooled.Add(int64(len(idxs)))
+			return true
 		}
 	}
 	nd.lost.Add(int64(len(idxs)))
@@ -369,9 +335,12 @@ func (rt *Router) replayLoop(ctx context.Context, n int) {
 	}
 }
 
-// replayDrain replays node n's spooled frames oldest-first while the
-// breaker admits writes and they succeed. An undecodable frame (version
-// skew) is dropped and counted lost rather than poisoning replay.
+// replayDrain replays node n's spooled frames oldest-first, each POSTed
+// exactly as spooled, while the breaker admits writes and they succeed.
+// A frame the node refuses (corrupt, or spooled in another format by an
+// older build) is dropped and counted lost rather than poisoning replay;
+// the refusal is a node reply, not a node failure, so the breaker is not
+// charged for it.
 func (rt *Router) replayDrain(ctx context.Context, n int) {
 	nd := rt.nodes[n]
 	for ctx.Err() == nil {
@@ -379,21 +348,21 @@ func (rt *Router) replayDrain(ctx context.Context, n int) {
 		if err != nil || !ok {
 			return
 		}
-		docs, derr := decodeDocs(payload)
-		if derr != nil {
+		if !nd.breaker.Allow() {
+			return
+		}
+		err = nd.client.IndexBatchPayload(ctx, payload)
+		if err != nil && !rejected(err) {
+			nd.breaker.Failure()
+			return
+		}
+		nd.breaker.Success()
+		if err != nil {
 			if nd.spool.Pop(tok) {
 				nd.lost.Add(int64(cnt))
 			}
 			continue
 		}
-		if !nd.breaker.Allow() {
-			return
-		}
-		if err := nd.client.IndexBatch(ctx, docs); err != nil {
-			nd.breaker.Failure()
-			return
-		}
-		nd.breaker.Success()
 		// Count before publishing: a reader that sees the replayed docs
 		// (through a fresh generation) or the shorter spool must already
 		// see the counter that describes them. A refused Pop means the
@@ -438,24 +407,4 @@ func (rt *Router) Stats() []NodeStats {
 		}
 	}
 	return out
-}
-
-// encodeDocs serializes a node's doc batch into one spool frame payload;
-// gob is self-describing, so frames survive field additions across
-// builds the same way the collector's record spool frames do.
-func encodeDocs(docs []store.Doc) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(docs); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeDocs reverses encodeDocs.
-func decodeDocs(payload []byte) ([]store.Doc, error) {
-	var docs []store.Doc
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&docs); err != nil {
-		return nil, err
-	}
-	return docs, nil
 }

@@ -7,13 +7,13 @@ import (
 	"time"
 )
 
-// Binary doc codec: the compact wire form of a document batch, used by
-// cluster routers POSTing to /index/batch. The JSON form this replaces
-// spent most of the cluster hop's CPU on marshaling field maps and
-// escaping bodies — and did it once per *replica*, not once per batch.
-// The binary form is a flat length-prefixed layout that encodes with
-// nothing but appends and decodes with one backing-string allocation for
-// the whole batch:
+// Binary doc codec (TVD): the compact wire form of a document batch, used
+// by cluster routers POSTing to /index/batch and, byte for byte, as their
+// per-node spool frames. The JSON form it replaced there spent most of the
+// cluster hop's CPU on marshaling field maps and escaping bodies — and did
+// it once per *replica*, not once per batch. The binary form is a flat
+// length-prefixed layout that encodes with nothing but appends and decodes
+// with one backing-string allocation for the whole batch:
 //
 //	payload  := magic("TVD") version(0x01) uvarint(nDocs) doc*
 //	doc      := varint(id) varint(unixSeconds) uvarint(nanos)
@@ -28,11 +28,9 @@ import (
 // are raw bytes: unlike JSON, which replaces invalid UTF-8 with U+FFFD,
 // the binary codec is byte-exact.
 //
-// Requests negotiate the codec via Content-Type: a client that sends
-// DocsContentType to a node that cannot decode it (an older build answers
-// 400, a newer-than-us version answers 415) falls back to JSON, which
-// stays fully supported as the compatibility path and the differential
-// oracle for the codec's tests.
+// A request announces the codec via Content-Type; without it the body is
+// the public JSON form. A node answers a payload it cannot decode with 400,
+// or 415 when it carries a codec version this build does not speak.
 
 // DocsContentType is the Content-Type announcing the binary doc codec on
 // POST /index/batch.
@@ -44,8 +42,8 @@ var docsMagic = [4]byte{'T', 'V', 'D', docsVersion}
 const docsVersion = 0x01
 
 // ErrCodecVersion marks a payload carrying the codec magic but a version
-// this build does not speak. HTTP handlers map it to 415 so newer clients
-// know to fall back to JSON rather than treating the node as broken.
+// this build does not speak. HTTP handlers map it to 415, so a client can
+// tell a foreign payload from a broken node.
 var ErrCodecVersion = errors.New("store: unsupported doc codec version")
 
 // AppendDocsHeader appends the payload header for an n-doc batch to dst.
@@ -103,27 +101,30 @@ func DecodeDocs(payload []byte, dst []Doc) ([]Doc, error) {
 	if payload[3] != docsVersion {
 		return nil, fmt.Errorf("%w %d", ErrCodecVersion, payload[3])
 	}
-	// One conversion backs every decoded string: docs retained by the
-	// store slice into it instead of allocating per field. The varint
-	// overhead it pins alongside the text is a few percent of the payload.
-	pool := string(payload)
 	i := len(docsMagic)
 	n, w := binary.Uvarint(payload[i:])
 	if w <= 0 {
 		return nil, errors.New("store: doc codec count corrupt")
 	}
 	i += w
-	// Each doc occupies at least 5 bytes, so a count beyond the remaining
-	// length is corruption, not a big batch — reject before preallocating.
-	if n > uint64(len(payload)-i) {
+	// Each doc occupies at least 5 bytes and each field at least 2, so
+	// the bytes that remain bound both counts: a larger claimed count is
+	// corruption, not a big batch, and is rejected before anything is
+	// reserved for it.
+	rem := uint64(len(payload) - i)
+	if n > rem/5 {
 		return nil, fmt.Errorf("store: doc codec count %d exceeds payload", n)
 	}
+	// One conversion backs every decoded string: docs retained by the
+	// store slice into it instead of allocating per field. The varint
+	// overhead it pins alongside the text is a few percent of the payload.
+	pool := string(payload)
 	if dst == nil {
 		dst = make([]Doc, 0, n)
 	}
 	// All docs' fields share one slab; growth mid-way strands the earlier
 	// backing array but every already-built Fields slice stays valid.
-	slab := make([]Field, 0, 8*n)
+	slab := make([]Field, 0, min(8*n, (rem-5*n)/2))
 	readString := func() (string, error) {
 		l, w := binary.Uvarint(payload[i:])
 		if w <= 0 || l > uint64(len(payload)-i-w) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -160,6 +161,82 @@ func TestDocCodecRejectsCorruptPayloads(t *testing.T) {
 	if _, err := DecodeDocs(garbage, nil); err == nil {
 		t.Fatal("JSON body decoded as binary")
 	}
+}
+
+// TestDocCodecDecodeClaimedCountBounded: a payload whose doc count claims
+// more docs than its bytes can hold must be refused before the decoder
+// reserves room for them. The payload here is 1 MiB: the header, a count
+// of 1 048 568 (one per remaining byte, which a bytes-only check admits),
+// and zeros — each 5 of which decode as an empty doc. Decoding it may
+// cost a few copies of the payload, never hundreds.
+func TestDocCodecDecodeClaimedCountBounded(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	const size = 1 << 20
+	payload := AppendDocsHeader(nil, 1_048_568)
+	payload = append(payload, make([]byte, size-len(payload))...)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := DecodeDocs(payload, nil)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("over-claimed count decoded successfully")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8*size {
+		t.Errorf("DecodeDocs allocated %d bytes (%.0f× the %d-byte payload) before refusing it, want <= 8×",
+			got, float64(got)/size, size)
+	}
+}
+
+// FuzzDecodeDocs fuzzes the decoder every /index/batch binary body and
+// every replayed router spool frame goes through: it never panics, and
+// whatever it accepts re-encodes to a payload that decodes to the same
+// docs — same ids, instants, bodies, and fields in order.
+func FuzzDecodeDocs(f *testing.F) {
+	rng := rand.New(rand.NewSource(29))
+	for _, rawBytes := range []bool{false, true} {
+		for trial := 0; trial < 4; trial++ {
+			docs := make([]Doc, rng.Intn(6))
+			for i := range docs {
+				docs[i] = randomCodecDoc(rng, rawBytes)
+			}
+			f.Add(EncodeDocs(nil, docs))
+		}
+	}
+	payload := EncodeDocs(nil, []Doc{{Time: time.Unix(10, 0).UTC(), Fields: F("hostname", "cn001"), Body: "usb device connected"}})
+	for cut := 0; cut < len(payload); cut++ {
+		f.Add(payload[:cut])
+	}
+	vflip := append([]byte(nil), payload...)
+	vflip[3] = 0x7f
+	f.Add(vflip)
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		docs, err := DecodeDocs(payload, nil)
+		if err != nil {
+			return
+		}
+		again, err := DecodeDocs(EncodeDocs(nil, docs), nil)
+		if err != nil {
+			t.Fatalf("re-encoded batch of %d docs does not decode: %v", len(docs), err)
+		}
+		if len(again) != len(docs) {
+			t.Fatalf("re-encoded batch decodes to %d docs, want %d", len(again), len(docs))
+		}
+		for i, d := range docs {
+			g := again[i]
+			if g.ID != d.ID || !g.Time.Equal(d.Time) || g.Body != d.Body || len(g.Fields) != len(d.Fields) {
+				t.Fatalf("doc %d round-trips to %+v, want %+v", i, g, d)
+			}
+			for j := range d.Fields {
+				if g.Fields[j] != d.Fields[j] {
+					t.Fatalf("doc %d field %d round-trips to %q, want %q", i, j, g.Fields[j], d.Fields[j])
+				}
+			}
+		}
+	})
 }
 
 // TestDocCodecEncodeSteadyStateAllocs enforces the router-side bar: once

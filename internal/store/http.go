@@ -231,12 +231,10 @@ func (st *Store) handleIndex(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]int64{"id": id})
 }
 
-// indexBatchBody is the JSON wire form of POST /index/batch — the bulk
-// ingest endpoint a cluster router uses so a whole pipeline batch reaches
-// the node as one request and one IndexBatch call. Requests may instead
-// carry the binary doc codec (Content-Type DocsContentType, see codec.go);
-// JSON remains the negotiation fallback for clients and nodes that do not
-// share a codec version.
+// indexBatchBody is the public JSON form of POST /index/batch, the bulk
+// ingest endpoint: a whole batch reaches the node as one request and one
+// IndexBatch call. Cluster routers send the binary doc codec instead
+// (Content-Type DocsContentType, see codec.go).
 type indexBatchBody struct {
 	Docs []Doc `json:"docs"`
 }
@@ -257,8 +255,8 @@ func (st *Store) handleIndexBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		docs, err := DecodeDocs(buf.Bytes(), nil)
 		if err != nil {
-			// A versioned-but-foreign payload gets 415 so the client knows
-			// to renegotiate down to JSON; garbage is a plain bad request.
+			// A versioned-but-foreign payload gets 415, garbage a plain bad
+			// request; either way the node is up and the payload is at fault.
 			status := http.StatusBadRequest
 			if errors.Is(err, ErrCodecVersion) {
 				status = http.StatusUnsupportedMediaType
