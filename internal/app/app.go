@@ -212,8 +212,9 @@ func New(cfg Config) (*App, error) {
 	}
 	if cfg.Detect {
 		// Last, so attack traffic (which varies per line and passes dedup)
-		// is seen enriched; with a classifier the rate baselines key on
-		// the category the sink will apply, through the shared cache.
+		// is seen enriched; with a classifier the detector classifies each
+		// record, keys its rate baselines on the category and stamps it on
+		// the record, which the sink then stores without classifying again.
 		dcfg := cfg.Detector
 		dcfg.Alerts, dcfg.Metrics = a.Alerts, reg
 		if a.Service != nil {

@@ -438,3 +438,69 @@ func TestRecycleOwnershipStress(t *testing.T) {
 		t.Errorf("store holds %d documents, want %d", got, sent)
 	}
 }
+
+// TestDetectorClassifiesEachRecordOnce runs distinct records through the
+// classifying wiring with the detectors on. The detector classifies each
+// record for its rate baselines and stamps the answer on it, so the cache
+// sees exactly one classification per record, and every stored record
+// carries the category the uncached model gives its text.
+func TestDetectorClassifiesEachRecordOnce(t *testing.T) {
+	g := loggen.NewGenerator(13)
+	examples, err := g.Dataset(loggen.ScaledPaperCounts(1500))
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, _ := core.NewModel("Complement Naive Bayes")
+	clf, err := core.Train(model, core.FromExamples(examples), core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sent = 300
+	var texts []string
+	for distinct := map[string]bool{}; len(texts) < sent; {
+		if text := g.Example().Text; !distinct[text] {
+			distinct[text] = true
+			texts = append(texts, text)
+		}
+	}
+	inv := loggen.NewCluster(16, 4, 1)
+	a, err := New(loopback(Config{
+		Classifier: clf, Cache: true, Detect: true, Inventory: inv,
+		Pipeline: collector.Config{FlushInterval: 5 * time.Millisecond},
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := start(t, a)
+	snd, err := syslog.DialSender("tcp", a.Source.BoundTCP, syslog.FormatRFC5424)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, text := range texts {
+		if err := snd.Send(message(inv.Nodes[i%len(inv.Nodes)].Name, text)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snd.Close()
+	waitFor(t, "the listener to parse everything", func() bool { return received(a) == sent })
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+
+	if raw, masked, misses := a.Service.CacheStats(); raw+masked+misses != sent {
+		t.Errorf("cache outcomes %d raw + %d masked + %d misses for %d records, want one each", raw, masked, misses, sent)
+	}
+	stored := 0
+	for _, h := range a.Store.Search(store.SearchRequest{Query: store.MatchAll{}, Size: -1}) {
+		if _, alert := h.Doc.Fields.Get("detector"); alert {
+			continue
+		}
+		stored++
+		if got, want := h.Doc.Fields.Get("category"); got != clf.Classify(h.Doc.Body) || !want {
+			t.Errorf("%q stored as %q, the uncached model says %q", h.Doc.Body, got, clf.Classify(h.Doc.Body))
+		}
+	}
+	if stored != sent {
+		t.Errorf("store holds %d records, want %d", stored, sent)
+	}
+}

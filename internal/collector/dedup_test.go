@@ -150,6 +150,12 @@ func TestDedupPipelineEmitsSummariesDownstream(t *testing.T) {
 			tick(10 * time.Millisecond)
 			ch <- burst
 		}
+		// A send returns once the source has the record, not once dedup has
+		// read the clock for it: wait until all four repeats are suppressed,
+		// or the last one can see the jump below and open a new burst.
+		for p.Stats().Filtered < 4 {
+			time.Sleep(time.Millisecond)
+		}
 		// Advance past the window and send an unrelated record so the
 		// lazy sweep fires inside the pipeline.
 		tick(5 * time.Second)

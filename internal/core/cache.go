@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"hetsyslog/internal/obs"
+	"hetsyslog/internal/seen"
 	"hetsyslog/internal/textproc"
 	"hetsyslog/internal/tfidf"
 )
@@ -27,7 +28,13 @@ import (
 // variable values (distinct IPs, PIDs, temperatures) would fragment it
 // into one entry per message. Level 1 is the exception: exact repeats
 // are so common in syslog (storms, heartbeats) that the unmasked key
-// pays for itself, and a level-2 hit immediately promotes into level 1.
+// pays for itself — but only for texts that do repeat. What templated
+// traffic repeats is the template, not the text, so a level-2 hit
+// promotes its text into level 1 only when the text was offered before:
+// each raw shard remembers the hashes of texts seen once (a bounded set
+// sized from the level's entry budget), and a text's second sight admits
+// it. A full miss still stores its text at once: it is the first text of
+// a new shape, and a storm repeats exactly.
 //
 // All methods are safe for concurrent use; each shard serializes on its
 // own mutex so Workers > 1 classification scales. Entries are never
@@ -77,6 +84,7 @@ func NewClassifyCache(shards, entriesPerLevel int) *ClassifyCache {
 	}
 	for i := range c.raw {
 		c.raw[i].cap = per
+		c.raw[i].seen = seen.New(per)
 		c.masked[i].cap = per
 	}
 	return c
@@ -94,6 +102,19 @@ func (c *ClassifyCache) StoreRaw(msg string, label int) {
 	}
 }
 
+// promoteRaw caches the label for a text whose template level 2 answered,
+// if the text was offered before; otherwise it remembers the text's hash h
+// (hashString(msg)) for its next sight.
+func (c *ClassifyCache) promoteRaw(h uint64, msg string, label int) {
+	s := &c.raw[h&c.mask]
+	s.mu.Lock()
+	evicted := s.seen.Again(h) && s.putLocked(msg, label)
+	s.mu.Unlock()
+	if evicted {
+		c.rawEvictions.Inc()
+	}
+}
+
 // LookupMasked returns the cached label for a masked-token-stream key
 // (see AppendMaskedKey). The []byte key is looked up without allocating.
 func (c *ClassifyCache) LookupMasked(key []byte) (int, bool) {
@@ -107,23 +128,31 @@ func (c *ClassifyCache) StoreMasked(key []byte, label int) {
 	}
 }
 
-// Len returns the live entry count across both levels (for tests and
-// capacity monitoring).
+// Len returns the live entry count across both levels (for tests).
 func (c *ClassifyCache) Len() int {
-	n := 0
+	raw, masked := c.Entries()
+	return raw + masked
+}
+
+// Entries returns the live entry count of each level.
+func (c *ClassifyCache) Entries() (raw, masked int) {
 	for i := range c.raw {
-		n += c.raw[i].len() + c.masked[i].len()
+		raw += c.raw[i].len()
+		masked += c.masked[i].len()
 	}
-	return n
+	return raw, masked
 }
 
 // cacheShard is one lock's worth of LRU state: a map from key to an
-// intrusively linked entry, most recently used at the head.
+// intrusively linked entry, most recently used at the head. A raw shard
+// also holds seen, the hashes of texts offered once, in a table of as many
+// slots as the shard has entries.
 type cacheShard struct {
 	mu         sync.Mutex
 	cap        int
 	m          map[string]*cacheEntry
 	head, tail *cacheEntry
+	seen       seen.Set
 }
 
 type cacheEntry struct {
@@ -301,8 +330,10 @@ const (
 // the call still runs the zero-allocation scratch path but never caches.
 // Safe for concurrent use with per-goroutine scratches after Train.
 func (tc *TextClassifier) PredictCached(text string, c *ClassifyCache, sc *ClassifyScratch) (int, CacheOutcome) {
+	var h uint64
 	if c != nil {
-		if label, ok := c.LookupRaw(text); ok {
+		h = hashString(text)
+		if label, ok := c.raw[h&c.mask].get(text); ok {
 			return label, CacheHitRaw
 		}
 	}
@@ -310,16 +341,18 @@ func (tc *TextClassifier) PredictCached(text string, c *ClassifyCache, sc *Class
 	if c != nil {
 		sc.key = AppendMaskedKey(sc.key[:0], tokens)
 		if label, ok := c.LookupMasked(sc.key); ok {
-			// Promote into level 1 so the next identical repeat is a
-			// zero-allocation hit.
-			c.StoreRaw(text, label)
+			// On the text's second sight, promote it into level 1 so the
+			// repeats to come are zero-allocation hits.
+			c.promoteRaw(h, text, label)
 			return label, CacheHitMasked
 		}
 	}
 	label := tc.Model.Predict(tc.Vectorizer.TransformInto(tokens, &sc.tf))
 	if c != nil {
 		c.StoreMasked(sc.key, label)
-		c.StoreRaw(text, label)
+		if c.raw[h&c.mask].put(text, label) {
+			c.rawEvictions.Inc()
+		}
 	}
 	return label, CacheMiss
 }

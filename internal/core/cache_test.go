@@ -13,6 +13,7 @@ import (
 	"hetsyslog/internal/obs"
 	"hetsyslog/internal/raceflag"
 	"hetsyslog/internal/store"
+	"hetsyslog/internal/syslog"
 )
 
 // TestClassifyCacheLRU exercises bounded eviction: the least recently
@@ -52,8 +53,9 @@ func TestClassifyCacheLRU(t *testing.T) {
 }
 
 // TestClassifyCacheMaskedLevel checks the two-level scheme end to end:
-// distinct raw messages from one template family share a masked entry,
-// and a masked hit promotes into the raw level.
+// distinct raw messages from one template family share a masked entry, a
+// full miss stores its text in the raw level at once, and a masked hit
+// promotes its text into the raw level only on the text's second sight.
 func TestClassifyCacheMaskedLevel(t *testing.T) {
 	tc := trainSmall(t)
 	c := NewClassifyCache(4, 1024)
@@ -74,9 +76,23 @@ func TestClassifyCacheMaskedLevel(t *testing.T) {
 	if labelA != labelB {
 		t.Errorf("template variants got labels %d and %d", labelA, labelB)
 	}
-	// The masked hit promoted msgB: exact repeat is now a raw hit.
+	// The miss stored msgA; msgB, seen once, is not in the raw level yet.
+	if raw, masked := c.Entries(); raw != 1 || masked != 1 {
+		t.Errorf("after a miss and a masked hit: %d raw and %d masked entries, want 1 and 1", raw, masked)
+	}
+	if _, outcome = tc.PredictCached(msgA, c, &sc); outcome != CacheHitRaw {
+		t.Errorf("repeat of the missed text: outcome = %v, want raw hit", outcome)
+	}
+	// msgB's second sight is a masked hit that promotes it; its third is a
+	// raw hit.
+	if _, outcome = tc.PredictCached(msgB, c, &sc); outcome != CacheHitMasked {
+		t.Errorf("second sight outcome = %v, want masked hit", outcome)
+	}
 	if _, outcome = tc.PredictCached(msgB, c, &sc); outcome != CacheHitRaw {
-		t.Errorf("repeat outcome = %v, want raw hit", outcome)
+		t.Errorf("third sight outcome = %v, want raw hit", outcome)
+	}
+	if raw, masked := c.Entries(); raw != 2 || masked != 1 {
+		t.Errorf("after the promotion: %d raw and %d masked entries, want 2 and 1", raw, masked)
 	}
 	// Predictions agree with the uncached pipeline.
 	if want := tc.Classify(msgA); tc.Labels[labelA] != want {
@@ -136,26 +152,43 @@ func TestClassifyCacheConcurrent(t *testing.T) {
 	}
 }
 
-// TestServiceCacheMetrics checks the counters and the hit-ratio gauge
-// reach /metrics exposition.
+// TestServiceCacheMetrics checks the counters, the entry gauges and the
+// hit-ratio gauge against three passes over the same distinct texts: the
+// first misses once per template and answers the rest from the masked
+// level, the second finds the missed texts in the raw level and promotes
+// the others, the third is all raw hits.
 func TestServiceCacheMetrics(t *testing.T) {
 	tc := trainSmall(t)
 	reg := obs.NewRegistry()
-	svc := &Service{Classifier: tc, Cache: NewClassifyCache(2, 128), Metrics: reg}
-	recs := streamRecords(3, 64)
-	if err := svc.Write(context.Background(), recs); err != nil {
-		t.Fatal(err)
+	svc := &Service{Classifier: tc, Cache: NewClassifyCache(2, 256), Metrics: reg, Workers: -1}
+	var recs []collector.Record
+	distinct := map[string]bool{}
+	for _, r := range streamRecords(3, 96) {
+		if !distinct[r.Msg.Content] {
+			distinct[r.Msg.Content] = true
+			recs = append(recs, r)
+		}
 	}
-	if err := svc.Write(context.Background(), recs); err != nil { // second pass: all raw hits
-		t.Fatal(err)
+	n := int64(len(recs))
+	pass := func() (rawHits, maskedHits, misses int64) {
+		t.Helper()
+		if err := svc.Write(context.Background(), recs); err != nil {
+			t.Fatal(err)
+		}
+		return svc.CacheStats()
 	}
-	rawHits, maskedHits, misses := svc.CacheStats()
-	if rawHits < int64(len(recs)) {
-		t.Errorf("raw hits = %d, want >= %d after replay", rawHits, len(recs))
+	raw1, masked1, miss1 := pass()
+	if raw1 != 0 || masked1+miss1 != n || masked1 == 0 || miss1 == 0 {
+		t.Fatalf("first pass over %d distinct texts: %d raw, %d masked, %d misses", n, raw1, masked1, miss1)
 	}
-	if rawHits+maskedHits+misses != 2*int64(len(recs)) {
-		t.Errorf("outcome counts %d+%d+%d don't sum to %d",
-			rawHits, maskedHits, misses, 2*len(recs))
+	if raw, masked := svc.Cache.Entries(); int64(raw) != miss1 || int64(masked) != miss1 {
+		t.Errorf("after the first pass: %d raw and %d masked entries, want %d each (one per miss)", raw, masked, miss1)
+	}
+	if raw2, masked2, miss2 := pass(); raw2 != miss1 || masked2 != 2*masked1 || miss2 != miss1 {
+		t.Errorf("second pass: totals %d raw, %d masked, %d misses; want %d, %d, %d", raw2, masked2, miss2, miss1, 2*masked1, miss1)
+	}
+	if raw3, masked3, miss3 := pass(); raw3 != miss1+n || masked3 != 2*masked1 || miss3 != miss1 {
+		t.Errorf("third pass: totals %d raw, %d masked, %d misses; want %d, %d, %d", raw3, masked3, miss3, miss1+n, 2*masked1, miss1)
 	}
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
@@ -167,6 +200,8 @@ func TestServiceCacheMetrics(t *testing.T) {
 		`service_cache_hits_total{level="masked"} `,
 		"service_cache_misses_total ",
 		`service_cache_evictions_total{level="raw"} `,
+		fmt.Sprintf(`service_cache_entries{level="raw"} %d`, n),
+		fmt.Sprintf(`service_cache_entries{level="masked"} %d`, miss1),
 		"service_cache_hit_ratio ",
 	} {
 		if !strings.Contains(out, want) {
@@ -304,5 +339,100 @@ func TestCachedClassifyZeroAllocs(t *testing.T) {
 		}
 	}); allocs > 0 {
 		t.Errorf("cached serial Write allocates %.1f per run, want 0", allocs)
+	}
+}
+
+// templatedTexts returns n distinct texts drawn from the generator's
+// templates, each made unique by a job number — the benchmark preload's
+// shape: every template repeats, no text does.
+func templatedTexts(seed int64, n int) []string {
+	g := loggen.NewGenerator(seed)
+	texts := make([]string, n)
+	for i := range texts {
+		texts[i] = fmt.Sprintf("%s job=%d", g.Example().Text, i)
+	}
+	return texts
+}
+
+// TestTemplatedStreamKeepsNoRepeats runs 20 000 distinct templated texts
+// through a cached service into a store. Nothing repeats but the
+// templates, so the raw level holds exactly the texts that missed (each the
+// first of its shape) and the store's body memo holds nothing: neither
+// cache keeps a text it saw once.
+func TestTemplatedStreamKeepsNoRepeats(t *testing.T) {
+	tc := trainSmall(t)
+	st := store.New(4)
+	svc := &Service{Classifier: tc, Store: st, Cache: NewClassifyCache(0, 0)}
+	texts := templatedTexts(41, 20_000)
+	batch := make([]collector.Record, 0, 256)
+	for i, text := range texts {
+		batch = append(batch, collector.Record{Tag: "syslog", Msg: &syslog.Message{Hostname: "cn001", Content: text}})
+		if len(batch) == cap(batch) || i == len(texts)-1 {
+			if err := svc.Write(context.Background(), batch); err != nil {
+				t.Fatal(err)
+			}
+			batch = batch[:0]
+		}
+	}
+	rawHits, maskedHits, misses := svc.CacheStats()
+	if rawHits != 0 || maskedHits+misses != int64(len(texts)) || maskedHits < 4*misses {
+		t.Fatalf("outcomes over %d distinct templated texts: %d raw, %d masked, %d misses", len(texts), rawHits, maskedHits, misses)
+	}
+	if raw, _ := svc.Cache.Entries(); int64(raw) != misses {
+		t.Errorf("raw level holds %d texts after %d misses: %d texts seen once were promoted", raw, misses, int64(raw)-misses)
+	}
+	if s := st.Stats(); s.Docs != len(texts) || s.BodyMemoEntries != 0 {
+		t.Errorf("store holds %d documents and %d memoized bodies, want %d and 0", s.Docs, s.BodyMemoEntries, len(texts))
+	}
+}
+
+// TestExactRepeatRawOnThirdSight: a text the masked level answers is
+// promoted on its second sight, so whatever its first outcome, an exact
+// text seen twice is a raw hit the third time.
+func TestExactRepeatRawOnThirdSight(t *testing.T) {
+	tc := trainSmall(t)
+	c := NewClassifyCache(0, 0)
+	var sc ClassifyScratch
+	texts := templatedTexts(43, 500)
+	first := make([]CacheOutcome, len(texts))
+	for i, text := range texts {
+		_, first[i] = tc.PredictCached(text, c, &sc)
+	}
+	for i, text := range texts {
+		want := CacheHitMasked // promoted now, not before
+		if first[i] == CacheMiss {
+			want = CacheHitRaw // a miss stores its text at once
+		}
+		if _, got := tc.PredictCached(text, c, &sc); got != want {
+			t.Fatalf("text %d (first outcome %v): second sight %v, want %v", i, first[i], got, want)
+		}
+	}
+	for i, text := range texts {
+		if _, got := tc.PredictCached(text, c, &sc); got != CacheHitRaw {
+			t.Fatalf("text %d: third sight %v, want a raw hit", i, got)
+		}
+	}
+}
+
+// TestZipfRawShareFloor guards the traffic shape the benchmark's
+// ingest-zipf workload requires of the cache: exact repeats drawn Zipf
+// (s = 1.2) over 4096 texts, classified through a fresh cache, are answered
+// by the raw level at least 90 % of the time although each text has to be
+// seen twice before it is admitted there.
+func TestZipfRawShareFloor(t *testing.T) {
+	tc := trainSmall(t)
+	c := NewClassifyCache(0, 0)
+	var sc ClassifyScratch
+	exs := loggen.NewGenerator(47).ZipfExamples(60_000, 4096, 1.2)
+	raw := 0
+	for _, ex := range exs {
+		if _, outcome := tc.PredictCached(ex.Text, c, &sc); outcome == CacheHitRaw {
+			raw++
+		}
+	}
+	share := float64(raw) / float64(len(exs))
+	t.Logf("raw share %.4f over %d Zipf draws", share, len(exs))
+	if share < 0.9 {
+		t.Errorf("raw share %.4f over %d Zipf draws, want >= 0.9", share, len(exs))
 	}
 }

@@ -142,6 +142,12 @@ func (s *Service) initMetrics() {
 			s.Cache.maskedEvictions = s.Metrics.Counter(`service_cache_evictions_total{level="masked"}`,
 				"classify cache LRU evictions, by level")
 			if s.Metrics != nil {
+				s.Metrics.GaugeFunc(`service_cache_entries{level="raw"}`,
+					"classify cache entries, by level",
+					func() int64 { raw, _ := s.Cache.Entries(); return int64(raw) })
+				s.Metrics.GaugeFunc(`service_cache_entries{level="masked"}`,
+					"classify cache entries, by level",
+					func() int64 { _, masked := s.Cache.Entries(); return int64(masked) })
 				s.Metrics.GaugeFuncFloat("service_cache_hit_ratio",
 					"fraction of classifications answered by either cache level",
 					func() float64 {
@@ -327,10 +333,11 @@ func (s *Service) classify(r collector.Record) (taxonomy.Category, bool) {
 	if r.Msg == nil {
 		return "", false
 	}
-	// Detector-injected alert records arrive pre-labeled
-	// (Meta["category"], set by internal/detect): a valid label skips
-	// the model so the alert is stored under the category the detector
-	// chose, not whatever the classifier makes of the alert text.
+	// Records the detection stage classified arrive pre-labeled
+	// (Meta["category"], set by internal/detect through CategoryOf), and
+	// so do its alert records: a valid label skips the model, so a record
+	// is classified once and an alert is stored under the category the
+	// detector chose, not whatever the classifier makes of its text.
 	if pre, ok := r.Meta["category"]; ok {
 		if cat := taxonomy.Category(pre); taxonomy.Valid(cat) {
 			s.classified.Inc()
@@ -381,8 +388,8 @@ func (s *Service) predictCategory(text string) taxonomy.Category {
 // CategoryOf classifies one message text through the cached fast path
 // and returns its category. It is the hook the streaming detection stage
 // (internal/detect) uses to key rate baselines on the same model the
-// sink applies; the classify cache is shared, so a detector lookup is
-// usually a raw-cache hit the sink's own classify then reuses.
+// sink applies; the detector stamps its answer on the record, so the
+// sink stores it without classifying the text a second time.
 func (s *Service) CategoryOf(text string) taxonomy.Category {
 	s.initMetrics()
 	return s.predictCategory(text)

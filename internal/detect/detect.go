@@ -20,7 +20,8 @@
 // tables are sharded and capped (MaxSources) with idle eviction driven
 // by the pipeline's sweep lifecycle — the same pattern as Dedup's window
 // sweep. The steady-state evaluation path allocates nothing; inserts of
-// never-seen sources and alert emission are the only allocating events.
+// never-seen sources, alert emission and — with Config.Classify — the
+// category stamped on each record are the only allocating events.
 package detect
 
 import (
@@ -98,8 +99,10 @@ type Config struct {
 	DisableSensitive bool
 	// Classify optionally maps a message text to its taxonomy category —
 	// wire it to core.Service.CategoryOf so rate baselines are keyed per
-	// (host, category) by the same model the sink applies (the classify
-	// cache is shared, so the lookup is usually a cache hit). Left nil,
+	// (host, category) by the same model the sink applies. Its answer
+	// becomes the record's category downstream: the detector sets
+	// Meta["category"] on a record that carries none, and core.Service
+	// stores a valid pre-set category without classifying again. Left nil,
 	// the category dimension degrades to the syslog app name.
 	Classify func(text string) taxonomy.Category
 	// Alerts, when set, receives a ConsiderAlert call for every fired
@@ -225,10 +228,11 @@ func (d *Detector) now() time.Time {
 	return time.Now()
 }
 
-// Process implements collector.Stage. Every record passes through
-// unchanged — dropping is the filter chain's business — while the
-// detectors fold it into their per-source state; any alerts it tips over
-// a threshold are emitted downstream and offered to the alert manager.
+// Process implements collector.Stage. Every record passes through —
+// dropping is the filter chain's business — while the detectors fold it
+// into their per-source state; with Config.Classify it leaves carrying its
+// category. Any alerts it tips over a threshold are emitted downstream and
+// offered to the alert manager.
 func (d *Detector) Process(r collector.Record, emit func(collector.Record)) (collector.Record, bool) {
 	if r.Msg == nil {
 		return r, true
@@ -247,6 +251,9 @@ func (d *Detector) Process(r collector.Record, emit func(collector.Record)) (col
 		cat := r.Msg.AppName
 		if d.cfg.Classify != nil {
 			cat = string(d.cfg.Classify(r.Msg.Content))
+			if _, labeled := r.Meta["category"]; !labeled {
+				r = r.WithMeta("category", cat)
+			}
 		}
 		d.rate.observe(d, r.Msg.Hostname, cat, nowNS, &fired)
 	}

@@ -734,11 +734,12 @@ func TestReadPathDifferentialConcurrent(t *testing.T) {
 // contains is a function of the sequence of documents it was dealt and of
 // nothing the other stripes, writers or readers did. So: two writers send
 // batches large enough to fan out, with more distinct bodies and field
-// pairs per shard than either memo holds (both reset mid-run, and pairs
-// seen before the reset are memoized again after it), readers run beside
-// them, and afterwards every shard must equal — entries, rows, pair table,
-// every posting list, the chunk and header counts — a shard that was handed
-// the same documents one at a time.
+// pairs per shard than the memos hold (the set of bodies seen once and
+// fieldMemo reset mid-run, and pairs seen before the reset are memoized
+// again after it), readers run beside them, and afterwards every shard must
+// equal — entries, rows, pair table, every posting list, the chunk and
+// header counts, the bodies seen once — a shard that was handed the same
+// documents one at a time.
 func TestParallelStripesEqualSerial(t *testing.T) {
 	const (
 		nsh       = 4
@@ -820,9 +821,10 @@ func TestParallelStripesEqualSerial(t *testing.T) {
 		same := slices.Equal(sh.ents, serial.ents) && slices.Equal(sh.fEnds, serial.fEnds) &&
 			slices.Equal(sh.fieldIDs, serial.fieldIDs) && slices.Equal(sh.pairs, serial.pairs) &&
 			sh.nChunks == serial.nChunks && sh.nPost == serial.nPost && sh.nInline == serial.nInline &&
-			sh.memoHits == serial.memoHits && sh.memoMisses == serial.memoMisses
+			sh.memoHits == serial.memoHits && sh.memoMisses == serial.memoMisses &&
+			reflect.DeepEqual(sh.bodiesSeen, serial.bodiesSeen)
 		if !same {
-			t.Fatalf("shard %d differs from its serial replay in entries, rows, pairs or counts", si)
+			t.Fatalf("shard %d differs from its serial replay in entries, rows, pairs, counts or bodies seen once", si)
 		}
 		for name, lists := range map[string][2]map[string]*postings{"text": {sh.text, serial.text}, "field": {sh.field, serial.field}} {
 			if len(lists[0]) != len(lists[1]) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // ParseQueryString parses a compact one-line query language for
@@ -17,7 +18,12 @@ import (
 //	-app:sshd                        negated field equality
 //
 // Terms combine with AND semantics. An empty string matches everything.
+// A query that is not valid UTF-8 is refused: the JSON DSL a cluster
+// coordinator forwards it in cannot carry it unchanged.
 func ParseQueryString(s string) (Query, error) {
+	if !utf8.ValidString(s) {
+		return nil, fmt.Errorf("store: query is not valid UTF-8")
+	}
 	fields := strings.Fields(s)
 	if len(fields) == 0 {
 		return MatchAll{}, nil

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -41,7 +42,7 @@ func TestParseQueryStringShapes(t *testing.T) {
 		t.Errorf("empty = %#v", q)
 	}
 	// Errors.
-	for _, bad := range []string{"after:notatime", "before:xx", ":novalue", "field:"} {
+	for _, bad := range []string{"after:notatime", "before:xx", ":novalue", "field:", "cpu\xad"} {
 		if _, err := ParseQueryString(bad); err == nil {
 			t.Errorf("ParseQueryString(%q) should error", bad)
 		}
@@ -128,4 +129,120 @@ func TestParseQueryStringAgainstStore(t *testing.T) {
 	if got := st.CountQuery(q2); got != 3 {
 		t.Errorf("range query hits = %d", got)
 	}
+}
+
+// sameQuery reports whether two queries are equal node for node: instants
+// compare with Equal (a JSON round trip keeps the instant and the offset,
+// not the *Location), and a nil clause list equals an empty one.
+func sameQuery(a, b Query) bool {
+	switch x := a.(type) {
+	case nil, MatchAll:
+		switch b.(type) {
+		case nil, MatchAll:
+			return true
+		}
+		return false
+	case Term:
+		y, ok := b.(Term)
+		return ok && x == y
+	case Match:
+		y, ok := b.(Match)
+		return ok && x == y
+	case TimeRange:
+		y, ok := b.(TimeRange)
+		return ok && x.From.Equal(y.From) && x.To.Equal(y.To)
+	case Bool:
+		y, ok := b.(Bool)
+		if !ok {
+			return false
+		}
+		for _, pair := range [][2][]Query{{x.Must, y.Must}, {x.Should, y.Should}, {x.MustNot, y.MustNot}} {
+			if len(pair[0]) != len(pair[1]) {
+				return false
+			}
+			for i := range pair[0] {
+				if !sameQuery(pair[0][i], pair[1][i]) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// checkRoundTrip requires a parsed query to re-marshal into the JSON DSL
+// and parse back to an equal query: what a cluster coordinator forwards to
+// its nodes is the query it was asked.
+func checkRoundTrip(t *testing.T, q Query) {
+	t.Helper()
+	raw, err := MarshalQuery(q)
+	if err != nil {
+		t.Fatalf("parsed query %#v does not marshal: %v", q, err)
+	}
+	back, err := ParseQuery(raw)
+	if err != nil {
+		t.Fatalf("marshalled query %s does not parse: %v", raw, err)
+	}
+	if !sameQuery(q, back) {
+		t.Fatalf("query %#v round-trips through %s to %#v", q, raw, back)
+	}
+}
+
+// queryStrings renders the differential suite's query shapes in the query
+// string language, as far as it can express them, plus its edge cases.
+func queryStrings() []string {
+	from := time.Unix(1700000000, 0).UTC().Format(time.RFC3339)
+	return []string{
+		"", "   ", "temperature", "Temperature THRESHOLD", "élevée", " ,; ",
+		"hostname:cn001", "hostname:CN001", "HOSTNAME:cn001", "hostname:nœud7", "rack:ラック",
+		"category:Thermal+Issue app:kernel", "-preauth", "-app:sshd", "-category:Thermal+Issue",
+		"after:" + from, "before:" + from, "after:2023-07-01T00:00:00+02:00 before:2023-07-02T00:00:00Z",
+		"temperature app:sshd -hostname:cn001 after:" + from,
+		"-temperature -rack:r1", "a:b:c", "-", "--x", "after:notatime", ":novalue", "field:", "-app:", "-:sshd",
+		"\xad", "hostname:cn\xff01", // not UTF-8: refused, as JSON would rewrite them
+	}
+}
+
+// FuzzParseQueryString fuzzes the GET /search query language: it never
+// panics, and whatever it accepts survives the coordinator's JSON hop.
+func FuzzParseQueryString(f *testing.F) {
+	for _, s := range queryStrings() {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		q, err := ParseQueryString(s)
+		if err != nil {
+			return
+		}
+		checkRoundTrip(t, q)
+	})
+}
+
+// FuzzParseQuery fuzzes the JSON query DSL every query endpoint decodes:
+// it never panics, and whatever it accepts re-marshals to JSON that parses
+// back to the same query.
+func FuzzParseQuery(f *testing.F) {
+	for _, q := range diffQueries(rand.New(rand.NewSource(31))) {
+		raw, err := MarshalQuery(q)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add([]byte(raw))
+	}
+	for _, raw := range []string{
+		`{}`, `{"match_all":{}}`, `{"bool":{}}`, `{"bool":{"must":[{}]}}`,
+		`{"term":{"field":"app","value":"sshd"},"match":{"text":"x"}}`,
+		`{"range":{"from":"2023-07-01T00:00:00+02:00"}}`, `{"range":{"to":"not a time"}}`,
+		`{"bool":{"must":[{"bool":{"should":[{"term":{}}]}}]}}`, `[]`, `null`, `{"term":null}`,
+	} {
+		f.Add([]byte(raw))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		q, err := ParseQuery(raw)
+		if err != nil {
+			return
+		}
+		checkRoundTrip(t, q)
+	})
 }

@@ -55,7 +55,8 @@ func (st *Store) Deleted() int {
 
 // Compact rebuilds every shard without its tombstoned documents,
 // reclaiming postings, arena and interning memory (this is also the only
-// point where arena bytes orphaned by bodyMemo resets are released).
+// point where arena bytes orphaned by bodyMemo resets are released). The
+// memos and the bodies seen once start afresh from the live documents.
 // Document ids are preserved.
 //
 // The rebuild recycles everything it does not read: the map buckets
@@ -95,6 +96,7 @@ func (sh *shard) compactLocked() {
 		clear(sh.text)
 		clear(sh.field)
 		clear(sh.bodyMemo)
+		sh.bodiesSeen.Reset()
 		clear(sh.intern)
 		clear(sh.fieldMemo)
 		sh.nChunks = 0
@@ -111,6 +113,7 @@ func (sh *shard) compactLocked() {
 	clear(sh.text)
 	clear(sh.field)
 	clear(sh.bodyMemo)
+	sh.bodiesSeen.Reset()
 	clear(sh.intern)
 	clear(sh.fieldMemo)
 	fresh := &shard{
@@ -118,11 +121,13 @@ func (sh *shard) compactLocked() {
 		text:        sh.text,
 		field:       sh.field,
 		bodyMemo:    sh.bodyMemo,
+		bodiesSeen:  sh.bodiesSeen,
 		intern:      sh.intern,
 		fieldMemo:   sh.fieldMemo,
 		chunkBlocks: sh.chunkBlocks,
 		postBlocks:  sh.postBlocks,
 		tokScratch:  sh.tokScratch,
+		listScratch: sh.listScratch,
 		keyScratch:  sh.keyScratch,
 		lowScratch:  sh.lowScratch,
 	}
@@ -146,7 +151,9 @@ func (sh *shard) compactLocked() {
 	sh.postBlocks = fresh.postBlocks
 	sh.nPost = fresh.nPost
 	sh.nInline = fresh.nInline
+	sh.bodiesSeen = fresh.bodiesSeen
 	sh.tokScratch = fresh.tokScratch
+	sh.listScratch = fresh.listScratch
 	sh.keyScratch = fresh.keyScratch
 	sh.lowScratch = fresh.lowScratch
 	sh.dead = nil

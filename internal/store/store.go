@@ -17,6 +17,8 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -24,6 +26,7 @@ import (
 	"unicode"
 
 	"hetsyslog/internal/obs"
+	"hetsyslog/internal/seen"
 )
 
 // Doc is one stored log record. Docs passed to Index/IndexBatch are copied
@@ -108,10 +111,10 @@ type fieldPair struct {
 	v span
 }
 
-// bodyEntry memoizes one distinct body: the interned body span and the
+// bodyEntry memoizes one repeated body: the interned body span and the
 // resolved posting list of each deduplicated token. A memo hit indexes a
-// document without copying the body again — the Zipf traffic shape the
-// paper leans on (§4.4.1) stores each template's text exactly once.
+// document without copying the body again — under exact repeats, a storm
+// or a heartbeat, each text is copied into the arena twice and never after.
 type bodyEntry struct {
 	body  span
 	lists []*postings
@@ -157,13 +160,16 @@ type shard struct {
 	text map[string]*postings
 	// field postings: appendFieldKey(field, value) -> posting list
 	field map[string]*postings
-	// bodyMemo caches each distinct body's interned span and resolved
-	// posting lists, keyed by the arena-backed body view. Real syslog
-	// traffic repeats a small set of message shapes (§4.4.1), so the
-	// steady-state body insert skips the arena copy, tokenization and the
-	// per-token map probes entirely: one lookup, then one in-place append
-	// per list. Cleared wholesale when it reaches maxBodyMemo entries.
-	bodyMemo map[string]bodyEntry
+	// bodyMemo caches the interned span and resolved posting lists of each
+	// body seen twice, keyed by the arena-backed body view: an exact repeat
+	// (a storm, a heartbeat, Zipf traffic) skips the arena copy,
+	// tokenization and the per-token map probes entirely — one lookup, then
+	// one in-place append per list. What repeats in templated traffic is the
+	// template, not the text, so a body is admitted only on its second sight
+	// (bodiesSeen holds the first): a stream of distinct bodies leaves the
+	// memo empty. Cleared wholesale when it reaches maxBodyMemo entries.
+	bodyMemo   map[string]bodyEntry
+	bodiesSeen seen.Set
 	// intern dedups field keys and values, keyed by the arena-backed view.
 	// Syslog metadata draws from tiny vocabularies (hostnames, apps,
 	// severities), so steady-state field storage is a map hit per pair.
@@ -185,13 +191,15 @@ type shard struct {
 	nInline     int32
 	// dead holds tombstoned offsets awaiting Compact.
 	dead map[int32]struct{}
-	// tokScratch, keyScratch and lowScratch are reused across indexLocked
-	// calls (always under the write lock) so indexing allocates neither a
-	// token slice nor a field-key string per doc: keyScratch stages the
-	// exact-case memo key, lowScratch the folded postings key.
-	tokScratch []string
-	keyScratch []byte
-	lowScratch []byte
+	// tokScratch, listScratch, keyScratch and lowScratch are reused across
+	// indexLocked calls (always under the write lock) so indexing allocates
+	// neither a token slice, a list slice nor a field-key string per doc:
+	// listScratch stages a body's lists until the memo admits it, keyScratch
+	// the exact-case memo key, lowScratch the folded postings key.
+	tokScratch  []string
+	listScratch []*postings
+	keyScratch  []byte
+	lowScratch  []byte
 	// memoHits/memoMisses count bodyMemo outcomes, for Stats.
 	memoHits   int64
 	memoMisses int64
@@ -199,14 +207,14 @@ type shard struct {
 	// gen counts the changes that are not appends — tombstones and
 	// compactions; a view built under an older gen restarts (view.go).
 	gen uint64
-	// vmu guards views, every view's busy flag, and seen, the hashes of
-	// keys read once and kept no view yet. Readers share the read lock, so
-	// views need a lock of their own; it is taken inside mu, never around
-	// it. reads is the store's count of how reads found their views.
-	vmu   sync.Mutex
-	views map[string]*view
-	seen  map[uint64]struct{}
-	reads *viewReads
+	// vmu guards views, every view's busy flag, and keysSeen, the keys read
+	// once and kept no view yet. Readers share the read lock, so views need
+	// a lock of their own; it is taken inside mu, never around it. reads is
+	// the store's count of how reads found their views.
+	vmu      sync.Mutex
+	views    map[string]*view
+	keysSeen seen.Set
+	reads    *viewReads
 }
 
 // offByID locates a document's offset by binary search over ents, which is
@@ -244,13 +252,15 @@ func (s *shard) tombstone(off int32) {
 
 func newShard(idx, stride int64) *shard {
 	return &shard{
-		nextID:    idx,
-		stride:    stride,
-		text:      make(map[string]*postings),
-		field:     make(map[string]*postings),
-		bodyMemo:  make(map[string]bodyEntry),
-		intern:    make(map[string]span),
-		fieldMemo: make(map[string]fieldEntry),
+		nextID:     idx,
+		stride:     stride,
+		text:       make(map[string]*postings),
+		field:      make(map[string]*postings),
+		bodyMemo:   make(map[string]bodyEntry),
+		bodiesSeen: seen.New(maxBodyMemo),
+		intern:     make(map[string]span),
+		fieldMemo:  make(map[string]fieldEntry),
+		keysSeen:   seen.New(maxSeen),
 	}
 }
 
@@ -362,8 +372,10 @@ func (s *shard) indexLocked(d Doc) {
 }
 
 // indexBody copies a body the shard has not memoized into the arena,
-// analyzes it, adds its text postings, and memoizes the interned span and
-// resolved lists for the repeats to come. Returns the body's span.
+// analyzes it and adds its text postings. On the body's second sight it
+// also memoizes the interned span and resolved lists for the repeats to
+// come; a first sight allocates nothing beyond new terms' lists. Returns
+// the body's span.
 func (s *shard) indexBody(body string, off int32) span {
 	bsp := s.arena.copy(body)
 	view := s.arena.view(bsp)
@@ -372,7 +384,7 @@ func (s *shard) indexBody(body string, off int32) span {
 	// live as long as the map entry does.
 	s.tokScratch = AnalyzeInto(view, s.tokScratch[:0])
 	toks := s.tokScratch
-	lists := make([]*postings, 0, len(toks))
+	lists := s.listScratch[:0]
 	if len(toks) <= maxScanDedup {
 		// Typical syslog bodies: a handful of tokens, so a nested scan
 		// dedups without the per-doc map allocation.
@@ -389,20 +401,24 @@ func (s *shard) indexBody(body string, off int32) span {
 			}
 		}
 	} else {
-		seen := make(map[string]bool, len(toks))
+		dedup := make(map[string]bool, len(toks))
 		for _, tok := range toks {
-			if !seen[tok] {
-				seen[tok] = true
+			if !dedup[tok] {
+				dedup[tok] = true
 				lists = append(lists, s.addText(tok, off))
 			}
 		}
+	}
+	s.listScratch = lists
+	if !s.bodiesSeen.Again(maphash.String(seenSeed, body)) {
+		return bsp
 	}
 	if len(s.bodyMemo) >= maxBodyMemo {
 		// Wholesale reset; the dropped entries' arena bytes stay reserved
 		// until the next Compact rebuilds the shard.
 		clear(s.bodyMemo)
 	}
-	s.bodyMemo[view] = bodyEntry{body: bsp, lists: lists}
+	s.bodyMemo[view] = bodyEntry{body: bsp, lists: slices.Clone(lists)}
 	return bsp
 }
 
@@ -502,9 +518,10 @@ func (s *shard) fieldPostings(field, value string) *postings {
 // token lists (pathological mega-lines) fall back to a map.
 const maxScanDedup = 128
 
-// maxBodyMemo caps each shard's body memo (a few MB at worst); a shard
-// seeing more distinct bodies than this drops the memo and rebuilds it
-// from the traffic that follows.
+// maxBodyMemo caps each shard's body memo (a few MB at worst) and sizes
+// the table of bodies seen once (32 KiB); a shard seeing more distinct
+// bodies than this drops the memo and rebuilds it from the traffic that
+// follows.
 const maxBodyMemo = 4096
 
 // Store is the sharded index.
@@ -584,6 +601,8 @@ func (st *Store) Instrument(r *obs.Registry) {
 	r.GaugeFuncFloat("store_body_memo_hit_ratio",
 		"fraction of indexed docs whose body was already interned",
 		func() float64 { return st.Stats().BodyMemoHitRatio() })
+	r.GaugeFunc("store_body_memo_entries", "repeated bodies memoized across shards (each admitted on its second sight)",
+		func() int64 { return st.Stats().BodyMemoEntries })
 	r.GaugeFunc("store_views", "incremental read views kept across shards",
 		func() int64 { return st.Stats().Views })
 	vr := &st.viewReads
@@ -797,9 +816,11 @@ type Stats struct {
 	PostingBytes   int64 `json:"posting_bytes"`
 	InlinePostings int64 `json:"inline_postings"`
 	// BodyMemoHits/Misses count indexed docs whose body was/wasn't
-	// already interned.
-	BodyMemoHits   int64 `json:"body_memo_hits"`
-	BodyMemoMisses int64 `json:"body_memo_misses"`
+	// already interned; BodyMemoEntries is how many bodies the memos hold
+	// (each admitted on its second sight).
+	BodyMemoHits    int64 `json:"body_memo_hits"`
+	BodyMemoMisses  int64 `json:"body_memo_misses"`
+	BodyMemoEntries int64 `json:"body_memo_entries"`
 	// Views is the number of incremental read views the shards keep. Every
 	// per-shard read but an unbounded search is one of: ViewHits, which
 	// extended a kept view; ViewMisses, which walked from offset 0 in a new
@@ -837,6 +858,7 @@ func (st *Store) Stats() Stats {
 		s.InlinePostings += int64(sh.nInline)
 		s.BodyMemoHits += sh.memoHits
 		s.BodyMemoMisses += sh.memoMisses
+		s.BodyMemoEntries += int64(len(sh.bodyMemo))
 		sh.vmu.Lock()
 		s.Views += int64(len(sh.views))
 		sh.vmu.Unlock()

@@ -38,26 +38,27 @@ type view struct {
 
 // A shard keeps a view only for a key it has seen before: the first read
 // of a key walks in a pooled private view and leaves the key's hash in the
-// shard's seen set, so ad-hoc reads that never repeat cost what they did
-// without views and never displace the views of reads that do.
+// shard's keysSeen set, so ad-hoc reads that never repeat cost what they
+// did without views and never displace the views of reads that do.
 //
 // maxViews bounds the views a shard keeps; a shard that would exceed it
-// drops them all and rebuilds from the reads that follow, like bodyMemo. A
-// dashboard refresh keeps 19–21 views per shard on one store and 35–37 on
-// each node of a three-node cluster, so 64 holds the largest with room to
-// spare. maxSeen bounds the seen set the same way: a key is admitted if
-// fewer than maxSeen other keys reach the shard between its first two
-// reads. A view whose state outgrows maxScratchBuckets entries is dropped
-// when its read ends, and a key over maxViewKey bytes gets none: those
-// reads cost a full walk, as they would without views.
+// drops them all and rebuilds from the reads that follow. A dashboard
+// refresh keeps 19–21 views per shard on one store and 35–37 on each node
+// of a three-node cluster, so 64 holds the largest with room to spare.
+// maxSeen sizes the seen set's table, which empties when three quarters
+// full: a key's second read keeps a view unless the set emptied in
+// between, which takes 3/4·maxSeen other keys. A view whose state outgrows
+// maxScratchBuckets entries is dropped when its read ends, and a key over
+// maxViewKey bytes gets none: those reads cost a full walk, as they would
+// without views.
 const (
 	maxViews   = 64
 	maxSeen    = 16 * maxViews
 	maxViewKey = 4 << 10
 )
 
-// viewSeed hashes view keys into the seen sets.
-var viewSeed = maphash.MakeSeed()
+// seenSeed hashes read keys and bodies into the shards' seen sets.
+var seenSeed = maphash.MakeSeed()
 
 // privateViews pools the views of reads whose view is not kept.
 var privateViews = sync.Pool{New: func() any { return new(view) }}
@@ -88,20 +89,9 @@ func (s *shard) takeView(key []byte) *view {
 	v, ok := s.views[string(key)]
 	switch {
 	case !ok:
-		h := maphash.Bytes(viewSeed, key)
-		if _, again := s.seen[h]; !again {
-			switch {
-			case s.seen == nil:
-				s.seen = make(map[uint64]struct{})
-			case len(s.seen) >= maxSeen:
-				// A shard that filled its seen set takes ad-hoc reads:
-				// size the next one for them rather than grow it again.
-				s.seen = make(map[uint64]struct{}, maxSeen)
-			}
-			s.seen[h] = struct{}{}
+		if !s.keysSeen.Again(maphash.Bytes(seenSeed, key)) {
 			return s.privateView()
 		}
-		delete(s.seen, h)
 		s.reads.misses.Inc()
 		if s.views == nil || len(s.views) >= maxViews {
 			s.views = make(map[string]*view)
