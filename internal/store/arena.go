@@ -72,6 +72,57 @@ func (a *arena) copyBytes(b []byte) span {
 	return a.copy(unsafe.String(&b[0], len(b)))
 }
 
+// termKey addresses a dictionary term's bytes in the arena in eight bytes:
+// the block, and the offset and length inside it packed 16/16. A normal
+// block is 64 KiB, so any term in one is addressable; a term that starts
+// past 64 KiB inside an oversized body, or is wholeBlock bytes or longer,
+// is copied into a place a key can address (newKey), and a length of
+// wholeBlock then names a block of its own, exactly the term long.
+type termKey struct {
+	block uint32
+	offN  uint32
+}
+
+const wholeBlock = 1<<16 - 1
+
+// keyFor returns a key for the arena bytes at sp, which must be nonempty:
+// sp itself when it fits, a copy's otherwise.
+func (a *arena) keyFor(sp span) termKey {
+	if sp.off < 1<<16 && sp.n < wholeBlock {
+		return termKey{sp.block, sp.off<<16 | sp.n}
+	}
+	return a.newKey(a.view(sp))
+}
+
+// newKey copies the nonempty s into the arena and returns its key. A copy
+// shorter than arenaOversize lands in a 64 KiB block and a longer one at
+// the start of a block of its own, so the key always fits.
+func (a *arena) newKey(s string) termKey {
+	sp := a.copy(s)
+	if sp.n >= wholeBlock {
+		return termKey{sp.block, wholeBlock}
+	}
+	return termKey{sp.block, sp.off<<16 | sp.n}
+}
+
+// keyView returns the term k addresses without copying.
+func (a *arena) keyView(k termKey) string {
+	b := a.blocks[k.block]
+	if n := k.offN & wholeBlock; n != wholeBlock {
+		return unsafe.String(&b[k.offN>>16], int(n))
+	}
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
+// keyIs reports whether k addresses exactly s. A length that differs
+// answers without reading the arena.
+func (a *arena) keyIs(k termKey, s string) bool {
+	if n := k.offN & wholeBlock; n != wholeBlock && int(n) != len(s) {
+		return false
+	}
+	return a.keyView(k) == s
+}
+
 // view returns the string addressed by sp without copying. The bytes are
 // immutable (the arena is append-only), so the view is safe to hand out
 // and retains the block it points into for as long as the string lives.
@@ -109,11 +160,13 @@ const postInline = 2
 // global indexes of the first and last chunk of a linked list of chunks.
 // The steady-state append — a term the index has seen often — writes one
 // int32 into the tail chunk; only every postChunkLen-th append links a new
-// chunk.
+// chunk. key addresses the term itself, which is how the shard's term
+// tables (terms.go) find the list.
 type postings struct {
 	head  int32
 	tail  int32
 	count int32
+	key   termKey
 }
 
 // Chunks and postings headers are carved from fixed-size blocks, so element
@@ -121,8 +174,8 @@ type postings struct {
 // a block, it does not copy one), the GC sees one pointer-free object per
 // block, and what a shard has reserved but not used is at most one block of
 // each kind however large the shard grows. Both block sizes are whole
-// allocator size classes — 2048 chunks are 17 pages, 2048 headers are the
-// 24 KiB class — so nothing is lost to rounding either.
+// pages — 2048 chunks are 17, 2048 headers 5 — so nothing is lost to
+// rounding either.
 const (
 	chunkBlockShift = 11
 	chunkBlockLen   = 1 << chunkBlockShift
@@ -134,7 +187,7 @@ const (
 )
 
 // newPostings hands out the next (empty) postings header. Headers are block
-// allocated rather than 12-byte heap objects of their own — one per
+// allocated rather than 20-byte heap objects of their own — one per
 // distinct term, tens of thousands per shard, every one of them a GC mark
 // target — which makes them amortized-free to create and lets Compact
 // recycle the whole population by resetting one cursor.
@@ -145,9 +198,14 @@ func (s *shard) newPostings() *postings {
 	}
 	s.nPost++
 	s.nInline++
-	p := &s.postBlocks[idx>>postBlockShift][idx&(postBlockLen-1)]
+	p := s.postAt(uint32(idx))
 	*p = postings{}
 	return p
+}
+
+// postAt resolves a global postings index to its header.
+func (s *shard) postAt(idx uint32) *postings {
+	return &s.postBlocks[idx>>postBlockShift][idx&(postBlockLen-1)]
 }
 
 // newChunk hands out the next free chunk, adding a block when the last one

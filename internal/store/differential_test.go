@@ -826,7 +826,10 @@ func TestParallelStripesEqualSerial(t *testing.T) {
 		if !same {
 			t.Fatalf("shard %d differs from its serial replay in entries, rows, pairs, counts or bodies seen once", si)
 		}
-		for name, lists := range map[string][2]map[string]*postings{"text": {sh.text, serial.text}, "field": {sh.field, serial.field}} {
+		for name, lists := range map[string][2]map[string]*postings{
+			"text":  {sh.termLists(&sh.text), serial.termLists(&serial.text)},
+			"field": {sh.termLists(&sh.field), serial.termLists(&serial.field)},
+		} {
 			if len(lists[0]) != len(lists[1]) {
 				t.Fatalf("shard %d: %d %s lists, serial replay has %d", si, len(lists[0]), name, len(lists[1]))
 			}

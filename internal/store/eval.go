@@ -200,7 +200,7 @@ func (ev *evaluator) compile(q Query, at int32) {
 		n.kind, n.p0 = nodeAll, int32(len(ev.posts))
 		for _, tok := range ev.toks {
 			n.kind = nodeLists
-			if !ev.addList(ev.s.text[tok]) {
+			if !ev.addList(ev.s.lookup(&ev.s.text, tok)) {
 				n.kind = nodeNone
 				break
 			}

@@ -59,12 +59,12 @@ func (st *Store) Deleted() int {
 // memos and the bodies seen once start afresh from the live documents.
 // Document ids are preserved.
 //
-// The rebuild recycles everything it does not read: the map buckets
-// (cleared, not reallocated) and the chunk and postings blocks (rewritten
-// in place — the rebuild walks ents and the arena, never the old posting
-// lists). Only byte arenas are always replaced, because handed-out query
-// results hold string views into the old blocks and those must stay
-// immutable. Under a steady retention cycle — delete the expired window,
+// The rebuild recycles everything it does not read: the map buckets and
+// term-table slots (cleared, not reallocated) and the chunk and postings
+// blocks (rewritten in place — the rebuild walks ents and the arena, never
+// the old posting lists). Only byte arenas are always replaced, because
+// handed-out query results hold string views into the old blocks and those
+// must stay immutable. Under a steady retention cycle — delete the expired window,
 // compact, keep ingesting — a shard therefore reaches a fixed set of
 // allocations and reuses it forever.
 func (st *Store) Compact() {
@@ -93,8 +93,8 @@ func (sh *shard) compactLocked() {
 		sh.pairs = sh.pairs[:0]
 		sh.pairPost = sh.pairPost[:0]
 		sh.arena = arena{}
-		clear(sh.text)
-		clear(sh.field)
+		sh.text.reset()
+		sh.field.reset()
 		clear(sh.bodyMemo)
 		sh.bodiesSeen.Reset()
 		clear(sh.intern)
@@ -108,10 +108,11 @@ func (sh *shard) compactLocked() {
 	// Re-index each live doc into a fresh shard through a scratch Doc:
 	// indexLocked copies every retained byte into the fresh arena, so the
 	// scratch's views into the old arena are read-only inputs. The fresh
-	// shard adopts the old shard's maps (cleared) and block storage — the
-	// rebuild never reads the old postings, only ents and the arena.
-	clear(sh.text)
-	clear(sh.field)
+	// shard adopts the old shard's maps and term tables (cleared) and block
+	// storage — the rebuild never reads the old postings, only ents and the
+	// arena.
+	sh.text.reset()
+	sh.field.reset()
 	clear(sh.bodyMemo)
 	sh.bodiesSeen.Reset()
 	clear(sh.intern)
@@ -146,6 +147,8 @@ func (sh *shard) compactLocked() {
 	sh.pairs = fresh.pairs
 	sh.pairPost = fresh.pairPost
 	sh.arena = fresh.arena
+	sh.text = fresh.text
+	sh.field = fresh.field
 	sh.chunkBlocks = fresh.chunkBlocks
 	sh.nChunks = fresh.nChunks
 	sh.postBlocks = fresh.postBlocks

@@ -24,6 +24,7 @@ import (
 	"sync/atomic"
 	"time"
 	"unicode"
+	"unsafe"
 
 	"hetsyslog/internal/obs"
 	"hetsyslog/internal/seen"
@@ -156,10 +157,12 @@ type shard struct {
 	pairPost []*postings
 	// arena owns every retained byte: bodies, field keys and values.
 	arena arena
-	// body postings: token -> posting list
-	text map[string]*postings
-	// field postings: appendFieldKey(field, value) -> posting list
-	field map[string]*postings
+	// text finds a body token's posting list, field a pair's by its
+	// appendFieldKey (terms.go). Neither holds a pointer or a key: a
+	// lowercase token's key is its place in the interned body, a folded
+	// token and a field key are copied into the arena once.
+	text  termTable
+	field termTable
 	// bodyMemo caches the interned span and resolved posting lists of each
 	// body seen twice, keyed by the arena-backed body view: an exact repeat
 	// (a storm, a heartbeat, Zipf traffic) skips the arena copy,
@@ -254,8 +257,6 @@ func newShard(idx, stride int64) *shard {
 	return &shard{
 		nextID:     idx,
 		stride:     stride,
-		text:       make(map[string]*postings),
-		field:      make(map[string]*postings),
 		bodyMemo:   make(map[string]bodyEntry),
 		bodiesSeen: seen.New(maxBodyMemo),
 		intern:     make(map[string]span),
@@ -380,8 +381,8 @@ func (s *shard) indexBody(body string, off int32) span {
 	bsp := s.arena.copy(body)
 	view := s.arena.view(bsp)
 	// Tokenize the arena view, not the caller's body: lowercase-ASCII
-	// tokens are substrings, so new text-map keys alias arena bytes that
-	// live as long as the map entry does.
+	// tokens are substrings of it, so a new term's key is its place in
+	// the interned body.
 	s.tokScratch = AnalyzeInto(view, s.tokScratch[:0])
 	toks := s.tokScratch
 	lists := s.listScratch[:0]
@@ -397,7 +398,7 @@ func (s *shard) indexBody(body string, off int32) span {
 				}
 			}
 			if !dup {
-				lists = append(lists, s.addText(tok, off))
+				lists = append(lists, s.addText(tok, off, bsp, view))
 			}
 		}
 	} else {
@@ -405,7 +406,7 @@ func (s *shard) indexBody(body string, off int32) span {
 		for _, tok := range toks {
 			if !dedup[tok] {
 				dedup[tok] = true
-				lists = append(lists, s.addText(tok, off))
+				lists = append(lists, s.addText(tok, off, bsp, view))
 			}
 		}
 	}
@@ -422,19 +423,16 @@ func (s *shard) indexBody(body string, off int32) span {
 	return bsp
 }
 
-// addText appends off to tok's body postings and returns the list. Only
-// a brand-new term allocates (its posting list); a known term appends in
-// place. The key may alias the document body's arena bytes (AnalyzeInto
-// returns substrings), which is safe: the arena is append-only and lives
-// as long as the map.
-func (s *shard) addText(tok string, off int32) *postings {
-	if p, ok := s.text[tok]; ok {
-		s.postAppend(p, off)
-		return p
+// addText appends off to tok's body postings and returns the list; tok is
+// a token of the body interned at bsp, whose arena view is view. A known
+// term appends in place; a new one takes the next header and keys it by
+// textKey.
+func (s *shard) addText(tok string, off int32, bsp span, view string) *postings {
+	p, fresh := s.termList(&s.text, tok)
+	if fresh {
+		p.key = s.textKey(tok, bsp, view)
 	}
-	p := s.newPostings()
 	s.postAppend(p, off)
-	s.text[tok] = p
 	return p
 }
 
@@ -467,8 +465,8 @@ func appendRawFieldKey(dst []byte, field, value string) []byte {
 // The steady state — a pair the shard has already stored, i.e. every field
 // of every canonical doc — is one fieldMemo probe and two in-place
 // appends, allocation-free. Only a brand-new pair runs the full intern +
-// fold + postings-map path, and both map keys it inserts are arena views,
-// so even the miss path adds no standalone heap strings.
+// fold + term-table path, and every key it stores is in the arena, so even
+// the miss path adds no standalone heap strings.
 //
 // A pair whose key the document already carries is stored (Get returns the
 // document as it was sent) but not indexed: Fields.Get and Term see only
@@ -483,9 +481,10 @@ func (s *shard) addField(f, v string, off int32, docStart uint32) {
 		fe.id = uint32(len(s.pairs))
 		s.pairs = append(s.pairs, fieldPair{k: s.internStr(f), v: s.internStr(v)})
 		s.lowScratch = appendFieldKey(s.lowScratch[:0], f, v)
-		if fe.post, ok = s.field[string(s.lowScratch)]; !ok {
-			fe.post = s.newPostings()
-			s.field[s.arena.view(s.arena.copyBytes(s.lowScratch))] = fe.post
+		low := unsafe.String(unsafe.SliceData(s.lowScratch), len(s.lowScratch))
+		var fresh bool
+		if fe.post, fresh = s.termList(&s.field, low); fresh {
+			fe.post.key = s.arena.newKey(low)
 		}
 		s.pairPost = append(s.pairPost, fe.post)
 		if len(s.fieldMemo) >= maxBodyMemo {
@@ -511,7 +510,7 @@ func (s *shard) addField(f, v string, off int32, docStart uint32) {
 func (s *shard) fieldPostings(field, value string) *postings {
 	var buf [64]byte
 	k := appendFieldKey(buf[:0], field, value)
-	return s.field[string(k)]
+	return s.lookup(&s.field, unsafe.String(unsafe.SliceData(k), len(k)))
 }
 
 // maxScanDedup bounds the quadratic scan dedup during indexing; larger
@@ -598,6 +597,8 @@ func (st *Store) Instrument(r *obs.Registry) {
 		func() int64 { return st.Stats().PostingBytes })
 	r.GaugeFunc("store_inline_postings", "posting lists held in their header, owning no chunk",
 		func() int64 { return st.Stats().InlinePostings })
+	r.GaugeFunc("store_term_table_bytes", "bytes reserved by the term dictionaries' slot arrays",
+		func() int64 { return st.Stats().TermTableBytes })
 	r.GaugeFuncFloat("store_body_memo_hit_ratio",
 		"fraction of indexed docs whose body was already interned",
 		func() float64 { return st.Stats().BodyMemoHitRatio() })
@@ -812,9 +813,12 @@ type Stats struct {
 	PostingChunks int64 `json:"posting_chunks"`
 	// PostingBytes is what the index's chunk and postings-header blocks
 	// reserve, used or not; InlinePostings counts the lists that live in
-	// their header and own no chunk.
+	// their header and own no chunk. TermTableBytes is what the term
+	// dictionaries that find those lists reserve (their slots; the terms'
+	// bytes are in ArenaBytes).
 	PostingBytes   int64 `json:"posting_bytes"`
 	InlinePostings int64 `json:"inline_postings"`
+	TermTableBytes int64 `json:"term_table_bytes"`
 	// BodyMemoHits/Misses count indexed docs whose body was/wasn't
 	// already interned; BodyMemoEntries is how many bodies the memos hold
 	// (each admitted on its second sight).
@@ -851,11 +855,12 @@ func (st *Store) Stats() Stats {
 	for _, sh := range st.shards {
 		sh.mu.RLock()
 		s.Docs += len(sh.ents) - len(sh.dead)
-		s.TextTerms += len(sh.text)
+		s.TextTerms += sh.text.used
 		s.ArenaBytes += sh.arena.reserved
 		s.PostingChunks += int64(sh.nChunks)
 		s.PostingBytes += int64(len(sh.chunkBlocks))*chunkBlockBytes + int64(len(sh.postBlocks))*postBlockBytes
 		s.InlinePostings += int64(sh.nInline)
+		s.TermTableBytes += sh.text.bytes() + sh.field.bytes()
 		s.BodyMemoHits += sh.memoHits
 		s.BodyMemoMisses += sh.memoMisses
 		s.BodyMemoEntries += int64(len(sh.bodyMemo))

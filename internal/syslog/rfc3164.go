@@ -15,33 +15,6 @@ var (
 	ErrBadFormat   = errors.New("syslog: malformed message")
 )
 
-// parsePri consumes "<NNN>" at the start of s and returns the priority and
-// the remainder of the string.
-func parsePri(s string) (Priority, string, error) {
-	if s == "" {
-		return 0, "", ErrEmpty
-	}
-	if s[0] != '<' {
-		return 0, "", ErrNoPriority
-	}
-	end := strings.IndexByte(s, '>')
-	if end < 2 || end > 4 {
-		return 0, "", ErrBadPriority
-	}
-	pri := 0
-	for _, c := range s[1:end] {
-		if c < '0' || c > '9' {
-			return 0, "", ErrBadPriority
-		}
-		pri = pri*10 + int(c-'0')
-	}
-	p := Priority(pri)
-	if !p.Valid() {
-		return 0, "", ErrBadPriority
-	}
-	return p, s[end+1:], nil
-}
-
 // rfc3164TimeLayouts lists timestamp layouts accepted in the RFC 3164
 // header, most common first. Real rsyslog deployments frequently emit
 // RFC3339 timestamps in the legacy format position, so we accept both.
@@ -68,104 +41,6 @@ func ParseRFC3164(raw string, ref time.Time) (*Message, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-// parseRFC3164Legacy is the original token-by-token string implementation,
-// kept unexported as the reference oracle for FuzzParseBytesEquivalence:
-// the byte parsers must agree with it on every input.
-func parseRFC3164Legacy(raw string, ref time.Time) (*Message, error) {
-	m := &Message{Raw: raw}
-	pri, rest, err := parsePri(raw)
-	if err != nil {
-		return nil, err
-	}
-	m.Facility = pri.Facility()
-	m.Severity = pri.Severity()
-
-	rest, ts := consumeTimestamp(rest, ref)
-	m.Timestamp = ts
-
-	// HOSTNAME is the token up to the next space — but only if a timestamp
-	// was present; otherwise the whole remainder is the content.
-	if !ts.IsZero() {
-		if sp := strings.IndexByte(rest, ' '); sp > 0 {
-			m.Hostname = rest[:sp]
-			rest = rest[sp+1:]
-		}
-	}
-
-	// TAG: "app[pid]:" or "app:" — alphanumerics plus a few symbols, max 32
-	// chars per the RFC (tolerated longer in practice).
-	app, pid, content := splitTag(rest)
-	m.AppName = app
-	m.ProcID = pid
-	m.Content = content
-	return m, nil
-}
-
-// consumeTimestamp tries each accepted layout at the front of s. On success
-// it returns the remainder after the timestamp and one following space.
-func consumeTimestamp(s string, ref time.Time) (string, time.Time) {
-	// RFC3339 variants: find the end at the first space.
-	if len(s) >= 20 && s[4] == '-' {
-		end := strings.IndexByte(s, ' ')
-		if end > 0 {
-			for _, layout := range rfc3164TimeLayouts[1:] {
-				if t, err := time.Parse(layout, s[:end]); err == nil {
-					return s[end+1:], t
-				}
-			}
-		}
-	}
-	// BSD format is fixed width: "Jan _2 15:04:05" = 15 bytes.
-	if len(s) >= 15 {
-		if t, err := time.Parse(time.Stamp, s[:15]); err == nil {
-			year := ref.Year()
-			if year == 0 {
-				year = 1
-			}
-			t = time.Date(year, t.Month(), t.Day(), t.Hour(), t.Minute(),
-				t.Second(), 0, ref.Location())
-			rest := s[15:]
-			rest = strings.TrimPrefix(rest, " ")
-			return rest, t
-		}
-	}
-	return s, time.Time{}
-}
-
-// splitTag splits "app[pid]: content" into its parts. If no well-formed tag
-// is present the whole input is returned as content.
-func splitTag(s string) (app, pid, content string) {
-	i := 0
-	for i < len(s) {
-		c := s[i]
-		if c == ':' || c == '[' || c == ' ' {
-			break
-		}
-		if !isTagChar(c) {
-			return "", "", s
-		}
-		i++
-	}
-	if i == 0 || i > 48 {
-		return "", "", s
-	}
-	app = s[:i]
-	rest := s[i:]
-	if strings.HasPrefix(rest, "[") {
-		end := strings.IndexByte(rest, ']')
-		if end < 0 {
-			return "", "", s
-		}
-		pid = rest[1:end]
-		rest = rest[end+1:]
-	}
-	if !strings.HasPrefix(rest, ":") {
-		return "", "", s
-	}
-	content = strings.TrimPrefix(rest[1:], " ")
-	return app, pid, content
 }
 
 func isTagChar(c byte) bool {

@@ -23,159 +23,6 @@ func ParseRFC5424(raw string) (*Message, error) {
 	return m, nil
 }
 
-// parseRFC5424Legacy is the original string implementation, kept
-// unexported as the reference oracle for FuzzParseBytesEquivalence: the
-// byte parsers must agree with it on every input.
-func parseRFC5424Legacy(raw string) (*Message, error) {
-	m := &Message{Raw: raw}
-	pri, rest, err := parsePri(raw)
-	if err != nil {
-		return nil, err
-	}
-	m.Facility = pri.Facility()
-	m.Severity = pri.Severity()
-
-	// VERSION
-	if !strings.HasPrefix(rest, "1 ") {
-		return nil, fmt.Errorf("%w: unsupported version", ErrBadFormat)
-	}
-	rest = rest[2:]
-
-	// TIMESTAMP HOSTNAME APP-NAME PROCID MSGID — space-separated tokens.
-	fields := make([]string, 0, 5)
-	for i := 0; i < 5; i++ {
-		sp := strings.IndexByte(rest, ' ')
-		if sp < 0 {
-			return nil, fmt.Errorf("%w: truncated header", ErrBadFormat)
-		}
-		fields = append(fields, rest[:sp])
-		rest = rest[sp+1:]
-	}
-	if fields[0] != "-" {
-		t, err := time.Parse(time.RFC3339Nano, fields[0])
-		if err != nil {
-			return nil, fmt.Errorf("%w: bad timestamp %q", ErrBadFormat, fields[0])
-		}
-		m.Timestamp = t
-	}
-	m.Hostname = nilValue(fields[1])
-	m.AppName = nilValue(fields[2])
-	m.ProcID = nilValue(fields[3])
-	m.MsgID = nilValue(fields[4])
-
-	// STRUCTURED-DATA: "-" or one or more [id k="v" ...] elements.
-	sd, rest, err := parseStructuredData(rest)
-	if err != nil {
-		return nil, err
-	}
-	m.Structured = sd
-
-	// MSG: optional, preceded by a single space.
-	m.Content = strings.TrimPrefix(rest, " ")
-	m.Content = strings.TrimPrefix(m.Content, "\xef\xbb\xbf") // UTF-8 BOM per RFC
-	return m, nil
-}
-
-func nilValue(s string) string {
-	if s == "-" {
-		return ""
-	}
-	return s
-}
-
-func parseStructuredData(s string) (StructuredData, string, error) {
-	if strings.HasPrefix(s, "-") {
-		return nil, s[1:], nil
-	}
-	if !strings.HasPrefix(s, "[") {
-		return nil, "", fmt.Errorf("%w: expected structured data", ErrBadFormat)
-	}
-	sd := make(StructuredData)
-	for strings.HasPrefix(s, "[") {
-		elemEnd := findSDEnd(s)
-		if elemEnd < 0 {
-			return nil, "", fmt.Errorf("%w: unterminated SD element", ErrBadFormat)
-		}
-		elem := s[1:elemEnd]
-		s = s[elemEnd+1:]
-		id, params, err := parseSDElement(elem)
-		if err != nil {
-			return nil, "", err
-		}
-		sd[id] = params
-	}
-	return sd, s, nil
-}
-
-// findSDEnd locates the closing ']' of the SD element opening at s[0],
-// honouring escaped \] inside quoted values.
-func findSDEnd(s string) int {
-	inQuote := false
-	for i := 1; i < len(s); i++ {
-		switch s[i] {
-		case '\\':
-			i++ // skip escaped char
-		case '"':
-			inQuote = !inQuote
-		case ']':
-			if !inQuote {
-				return i
-			}
-		}
-	}
-	return -1
-}
-
-func parseSDElement(elem string) (string, map[string]string, error) {
-	sp := strings.IndexByte(elem, ' ')
-	if sp < 0 {
-		return elem, map[string]string{}, nil
-	}
-	id := elem[:sp]
-	params := make(map[string]string)
-	rest := elem[sp+1:]
-	for rest != "" {
-		rest = strings.TrimLeft(rest, " ")
-		if rest == "" {
-			break
-		}
-		eq := strings.IndexByte(rest, '=')
-		if eq < 0 || len(rest) < eq+2 || rest[eq+1] != '"' {
-			return "", nil, fmt.Errorf("%w: bad SD param in %q", ErrBadFormat, elem)
-		}
-		name := rest[:eq]
-		val, remainder, err := parseQuoted(rest[eq+1:])
-		if err != nil {
-			return "", nil, err
-		}
-		params[name] = val
-		rest = remainder
-	}
-	return id, params, nil
-}
-
-// parseQuoted consumes a leading `"..."` handling \" \\ \] escapes.
-func parseQuoted(s string) (string, string, error) {
-	if !strings.HasPrefix(s, `"`) {
-		return "", "", fmt.Errorf("%w: expected quoted value", ErrBadFormat)
-	}
-	var b strings.Builder
-	for i := 1; i < len(s); i++ {
-		switch s[i] {
-		case '\\':
-			if i+1 < len(s) {
-				b.WriteByte(s[i+1])
-				i++
-			}
-		case '"':
-			return b.String(), s[i+1:], nil
-		default:
-			b.WriteByte(s[i])
-		}
-	}
-	return "", "", fmt.Errorf("%w: unterminated quoted value", ErrBadFormat)
-}
-
 // FormatRFC5424 renders m in RFC 5424 format.
 func FormatRFC5424(m *Message) string {
 	var b strings.Builder
@@ -256,19 +103,4 @@ func Parse(raw string, ref time.Time) (*Message, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-// parseLegacy is the original auto-detecting string implementation, kept
-// unexported as the reference oracle for FuzzParseBytesEquivalence.
-func parseLegacy(raw string, ref time.Time) (*Message, error) {
-	_, rest, err := parsePri(raw)
-	if err != nil {
-		return nil, err
-	}
-	if strings.HasPrefix(rest, "1 ") {
-		if m, err := parseRFC5424Legacy(raw); err == nil {
-			return m, nil
-		}
-	}
-	return parseRFC3164Legacy(raw, ref)
 }
