@@ -46,8 +46,8 @@ func (g *Generation) Load() int64 {
 	return g.n.Load()
 }
 
-// queryCache memoizes merged coordinator results (Count, DateHistogram,
-// Terms — not Search, whose hit payloads are unbounded) keyed on
+// queryCache memoizes merged coordinator results (Count,
+// DateHistogramSparse, Terms — not Search, whose hit payloads are unbounded) keyed on
 // (operation, canonical query JSON, parameters, store generation).
 // Concurrent callers asking for the same key collapse onto one scatter,
 // singleflight style: the first caller fans out, the rest wait for its

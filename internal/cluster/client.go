@@ -134,28 +134,18 @@ func (c *NodeClient) IndexBatchPayload(ctx context.Context, payload []byte) erro
 	return c.do(ctx, http.MethodPost, "/index/batch", store.DocsContentType, payload, nil)
 }
 
-// Search runs a query on the node. size < 0 means unlimited — the form
-// the coordinator uses so truncation happens exactly once, after merge.
+// Search runs a query on the node: its top size hits (negative =
+// unlimited), which the coordinator merges and truncates again.
 func (c *NodeClient) Search(ctx context.Context, q json.RawMessage, size int, sortAsc bool) ([]store.Hit, error) {
-	var out struct {
-		Hits []store.Hit `json:"hits"`
-	}
-	err := c.post(ctx, "/search", struct {
-		Query   json.RawMessage `json:"query"`
-		Size    int             `json:"size"`
-		SortAsc bool            `json:"sort_asc"`
-	}{q, size, sortAsc}, &out)
+	var out store.SearchResult
+	err := c.post(ctx, "/search", store.SearchBody{Query: q, Size: size, SortAsc: sortAsc}, &out)
 	return out.Hits, err
 }
 
 // Count returns the node's matching-document count.
 func (c *NodeClient) Count(ctx context.Context, q json.RawMessage) (int, error) {
-	var out struct {
-		Count int `json:"count"`
-	}
-	err := c.post(ctx, "/count", struct {
-		Query json.RawMessage `json:"query"`
-	}{q}, &out)
+	var out store.CountResult
+	err := c.post(ctx, "/count", store.CountBody{Query: q}, &out)
 	return out.Count, err
 }
 
@@ -164,11 +154,7 @@ func (c *NodeClient) Count(ctx context.Context, q json.RawMessage) (int, error) 
 // side, under the same MaxHistogramBuckets clamp as a single store).
 func (c *NodeClient) DateHistogramSparse(ctx context.Context, q json.RawMessage, interval time.Duration) ([]store.HistogramBucket, error) {
 	var out []store.HistogramBucket
-	err := c.post(ctx, "/agg/datehist", struct {
-		Query    json.RawMessage `json:"query"`
-		Interval string          `json:"interval"`
-		Sparse   bool            `json:"sparse"`
-	}{q, interval.String(), true}, &out)
+	err := c.post(ctx, "/agg/datehist", store.DateHistBody{Query: q, Interval: interval.String(), Sparse: true}, &out)
 	return out, err
 }
 
@@ -177,11 +163,7 @@ func (c *NodeClient) DateHistogramSparse(ctx context.Context, q json.RawMessage,
 // per-node truncations).
 func (c *NodeClient) Terms(ctx context.Context, q json.RawMessage, field string, size int) ([]store.TermBucket, error) {
 	var out []store.TermBucket
-	err := c.post(ctx, "/agg/terms", struct {
-		Query json.RawMessage `json:"query"`
-		Field string          `json:"field"`
-		Size  int             `json:"size"`
-	}{q, field, size}, &out)
+	err := c.post(ctx, "/agg/terms", store.TermsBody{Query: q, Field: field, Size: size}, &out)
 	return out, err
 }
 

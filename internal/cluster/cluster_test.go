@@ -8,11 +8,14 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -660,40 +663,137 @@ func TestClusterSpoolRejectedFrames(t *testing.T) {
 	}
 }
 
-// TestClusterFrontBodyLimits: the cluster front bounds its JSON query bodies
-// like a store node does — store.MaxQueryBody bytes are read, more is 413.
-func TestClusterFrontBodyLimits(t *testing.T) {
-	_, urls := newTestNodes(t, 2)
-	co, err := NewCoordinator(fastClusterCfg(urls, ""), nil)
+// TestClusterFrontParity: a cluster front serves the store's query API.
+// One request table runs against a single store node and against a
+// coordinator over three nodes at replication 2 holding the same
+// documents; each row must answer its status, and the same status and
+// the same decoded body on both.
+func TestClusterFrontParity(t *testing.T) {
+	// Distinct timestamps leave no ties for the hit order to break by
+	// per-node id; the hour between the two runs leaves empty minute
+	// buckets, so a gap-filled histogram differs from the sparse one.
+	corpus := func() []store.Doc {
+		docs := make([]store.Doc, 60)
+		for i := range docs {
+			ts := sgBase.Add(time.Duration(i) * 7 * time.Second)
+			if i >= 30 {
+				ts = ts.Add(time.Hour)
+			}
+			docs[i] = store.Doc{
+				Time:   ts,
+				Fields: store.F("hostname", fmt.Sprintf("cn%03d", i%4), "app", []string{"sshd", "kernel", "slurmd"}[i%3]),
+				Body:   fmt.Sprintf("CPU %d temperature above threshold", i),
+			}
+		}
+		return docs
+	}
+	single := store.New(2)
+	single.IndexBatch(corpus())
+	node := httptest.NewServer(single.Handler())
+	defer node.Close()
+
+	_, urls := newTestNodes(t, 3)
+	cfg := fastClusterCfg(urls, "")
+	rt, err := NewRouter(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(co.Handler())
-	defer srv.Close()
-	body := func(n int) []byte {
-		b := []byte(`{"query":{"match_all":{}},"interval":"1m","field":"hostname","pad":"`)
-		b = append(b, bytes.Repeat([]byte{'x'}, n-len(b)-2)...)
-		return append(b, `"}`...)
+	if err := rt.IndexBatch(context.Background(), corpus()); err != nil {
+		t.Fatal(err)
 	}
+	rt.Close()
+	co, err := NewCoordinator(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(co.Handler())
+	defer front.Close()
+
+	padded := func(n int) string {
+		b := `{"query":{"match_all":{}},"interval":"1m","field":"hostname","pad":"`
+		return b + strings.Repeat("x", n-len(b)-2) + `"}`
+	}
+	const host = `{"term":{"field":"hostname","value":"cn001"}}`
 	for _, tc := range []struct {
-		path string
-		size int
-		want int
+		method, path, body string
+		want               int
 	}{
-		{"/search", store.MaxQueryBody, http.StatusOK},
-		{"/search", store.MaxQueryBody + 1, http.StatusRequestEntityTooLarge},
-		{"/count", store.MaxQueryBody + 1, http.StatusRequestEntityTooLarge},
-		{"/agg/datehist", store.MaxQueryBody + 1, http.StatusRequestEntityTooLarge},
-		{"/agg/terms", store.MaxQueryBody + 1, http.StatusRequestEntityTooLarge},
-		{"/agg/terms", store.MaxQueryBody, http.StatusOK},
+		{"POST", "/search", `{"query":` + host + `,"size":5}`, http.StatusOK},
+		{"POST", "/search", `{"size":-1,"sort_asc":true}`, http.StatusOK},
+		{"POST", "/search", `{}`, http.StatusOK},
+		{"POST", "/search", `{"query":{"match":{"text":"temperature"}},"size":3}`, http.StatusOK},
+		{"POST", "/search", `{"query":`, http.StatusBadRequest},
+		{"POST", "/search", `{"query":{"range":{"from":"yesterday"}}}`, http.StatusBadRequest},
+		{"POST", "/search", padded(store.MaxQueryBody), http.StatusOK},
+		{"POST", "/search", padded(store.MaxQueryBody + 1), http.StatusRequestEntityTooLarge},
+		{"POST", "/count", `{"query":` + host + `}`, http.StatusOK},
+		{"POST", "/count", `{}`, http.StatusOK},
+		{"POST", "/count", `[1]`, http.StatusBadRequest},
+		{"POST", "/count", padded(store.MaxQueryBody + 1), http.StatusRequestEntityTooLarge},
+		{"POST", "/agg/datehist", `{"interval":"1m"}`, http.StatusOK},
+		{"POST", "/agg/datehist", `{"interval":"1m","sparse":false}`, http.StatusOK},
+		{"POST", "/agg/datehist", `{"interval":"1m","sparse":true}`, http.StatusOK},
+		{"POST", "/agg/datehist", `{"query":` + host + `,"interval":"30s","sparse":true}`, http.StatusOK},
+		{"POST", "/agg/datehist", `{"interval":"fortnightly"}`, http.StatusBadRequest},
+		{"POST", "/agg/datehist", `{"interval":`, http.StatusBadRequest},
+		{"POST", "/agg/datehist", padded(store.MaxQueryBody + 1), http.StatusRequestEntityTooLarge},
+		{"POST", "/agg/terms", `{"field":"hostname","size":2}`, http.StatusOK},
+		{"POST", "/agg/terms", `{"query":` + host + `,"field":"app"}`, http.StatusOK},
+		{"POST", "/agg/terms", `{"size":2}`, http.StatusBadRequest},
+		{"POST", "/agg/terms", `{"field":`, http.StatusBadRequest},
+		{"POST", "/agg/terms", padded(store.MaxQueryBody), http.StatusOK},
+		{"POST", "/agg/terms", padded(store.MaxQueryBody + 1), http.StatusRequestEntityTooLarge},
+		{"GET", "/search?q=app:sshd", "", http.StatusOK},
+		{"GET", "/search?q=app:sshd+-hostname:cn000&size=3", "", http.StatusOK},
+		{"GET", "/search?size=-1", "", http.StatusOK},
+		{"GET", "/search?q=after:nope", "", http.StatusBadRequest},
+		{"GET", "/search?q=app:sshd&size=10abc", "", http.StatusBadRequest},
+		{"GET", "/search?size=1e3", "", http.StatusBadRequest},
 	} {
-		resp, err := http.Post(srv.URL+tc.path, "application/json", bytes.NewReader(body(tc.size)))
-		if err != nil {
-			t.Fatalf("%s with %d bytes: %v", tc.path, tc.size, err)
+		label := fmt.Sprintf("%s %s %.60s", tc.method, tc.path, tc.body)
+		nodeStatus, nodeBody := frontAnswer(t, node.URL, tc.method, tc.path, tc.body)
+		frontStatus, frontBody := frontAnswer(t, front.URL, tc.method, tc.path, tc.body)
+		if nodeStatus != tc.want || frontStatus != tc.want {
+			t.Errorf("%s: node %d, front %d, want %d", label, nodeStatus, frontStatus, tc.want)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != tc.want {
-			t.Errorf("%s with %d bytes: status %d, want %d", tc.path, tc.size, resp.StatusCode, tc.want)
+		if !reflect.DeepEqual(nodeBody, frontBody) {
+			t.Errorf("%s: bodies differ\nnode:  %.300s\nfront: %.300s", label, fmt.Sprint(nodeBody), fmt.Sprint(frontBody))
 		}
 	}
+}
+
+// frontAnswer sends one request and returns its status and its decoded
+// body: JSON decoded, with the hit fields placement decides — per-node
+// ids and the router's partition stamp — dropped; any other body as text.
+func frontAnswer(t *testing.T, base, method, path, body string) (int, any) {
+	t.Helper()
+	req, err := http.NewRequest(method, base+path, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Header.Get("Content-Type") != "application/json" {
+		return resp.StatusCode, string(raw)
+	}
+	var v any
+	if err := json.Unmarshal(raw, &v); err != nil {
+		t.Fatalf("%s %s: %v", method, path, err)
+	}
+	if m, ok := v.(map[string]any); ok {
+		hits, _ := m["hits"].([]any)
+		for _, h := range hits {
+			doc := h.(map[string]any)["doc"].(map[string]any)
+			delete(doc, "id")
+			delete(doc["fields"].(map[string]any), PartitionField)
+		}
+	}
+	return resp.StatusCode, v
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"sort"
 	"strconv"
 	"sync"
@@ -27,8 +28,8 @@ type Coordinator struct {
 	ring    *ring
 	clients []*NodeClient
 	// gen is the front's shared ingest generation and cache its merged-
-	// result memo (Count/DateHistogram/Terms). Both nil when caching is
-	// disabled (no Gen wired, or QueryCacheSize < 0).
+	// result memo (Count/DateHistogramSparse/Terms). Both nil when caching
+	// is disabled (no Gen wired, or QueryCacheSize < 0).
 	gen   *Generation
 	cache *queryCache
 
@@ -189,7 +190,7 @@ func (co *Coordinator) cached(ctx context.Context, op, params string, q store.Qu
 // therefore contains the global one. Search results are
 // deliberately not cached: hit payloads carry full documents, so one
 // broad query could pin an unbounded slice of the corpus in memory —
-// unlike the fixed-size merged aggregates Count/DateHistogram/Terms
+// unlike the fixed-size merged aggregates Count/DateHistogramSparse/Terms
 // memoize.
 func (co *Coordinator) Search(ctx context.Context, q store.Query, size int, sortAsc bool) ([]store.Hit, error) {
 	var mu sync.Mutex
@@ -234,11 +235,21 @@ func (co *Coordinator) Count(ctx context.Context, q store.Query) (int, error) {
 	return v.(int), nil
 }
 
-// DateHistogram scatter-gathers the sparse per-node histograms, sums
-// buckets by Start, and gap-fills once under the same
-// store.MaxHistogramBuckets clamp as a single store — so the merged
+// DateHistogram is DateHistogramSparse gap-filled under the same
+// store.MaxHistogramBuckets clamp as a single store, so the merged
 // multi-node histogram is identical to one store holding the union.
 func (co *Coordinator) DateHistogram(ctx context.Context, q store.Query, interval time.Duration) ([]store.HistogramBucket, error) {
+	sparse, err := co.DateHistogramSparse(ctx, q, interval)
+	if err != nil {
+		return nil, err
+	}
+	return store.FillHistogram(sparse, interval), nil
+}
+
+// DateHistogramSparse scatter-gathers the sparse per-node histograms and
+// sums buckets by Start. Results are memoized per ingest generation when
+// the cache is enabled.
+func (co *Coordinator) DateHistogramSparse(ctx context.Context, q store.Query, interval time.Duration) ([]store.HistogramBucket, error) {
 	if interval <= 0 {
 		interval = time.Minute
 	}
@@ -258,7 +269,7 @@ func (co *Coordinator) DateHistogram(ctx context.Context, q store.Query, interva
 		if err != nil {
 			return nil, err
 		}
-		return MergeHistograms(all, interval), nil
+		return MergeHistograms(all), nil
 	})
 	if err != nil {
 		return nil, err
@@ -292,6 +303,14 @@ func (co *Coordinator) Terms(ctx context.Context, q store.Query, field string, s
 		return nil, err
 	}
 	return v.([]store.TermBucket), nil
+}
+
+// Handler serves the store's query API over the cluster (store.QueryMux),
+// so clients and dashboards point at a front as at a single node; its GET
+// /stats answers ClusterStats. The index routes are absent: ingest goes
+// through the Router, a pipeline sink.
+func (co *Coordinator) Handler() http.Handler {
+	return store.QueryMux(co, func(ctx context.Context) any { return co.Stats(ctx) })
 }
 
 // ClusterStats aggregates the per-node store stats the coordinator can
@@ -354,12 +373,10 @@ func MergeHits(hits []store.Hit, size int, sortAsc bool) []store.Hit {
 	return hits
 }
 
-// MergeHistograms sums sparse per-node histograms by bucket Start and
-// materializes the gap-filled form exactly as a single store would
-// (store.FillHistogram, including the MaxHistogramBuckets clamp). All
-// inputs must share the interval grid — guaranteed by the store's
-// floor-division bucketing.
-func MergeHistograms(all [][]store.HistogramBucket, interval time.Duration) []store.HistogramBucket {
+// MergeHistograms sums sparse per-node histograms by bucket Start into
+// one sparse histogram, ascending. All inputs must share the interval
+// grid — guaranteed by the store's floor-division bucketing.
+func MergeHistograms(all [][]store.HistogramBucket) []store.HistogramBucket {
 	counts := make(map[int64]int)
 	for _, buckets := range all {
 		for _, b := range buckets {
@@ -374,7 +391,7 @@ func MergeHistograms(all [][]store.HistogramBucket, interval time.Duration) []st
 		sparse = append(sparse, store.HistogramBucket{Start: time.Unix(0, ns).UTC(), Count: c})
 	}
 	sort.Slice(sparse, func(a, b int) bool { return sparse[a].Start.Before(sparse[b].Start) })
-	return store.FillHistogram(sparse, interval)
+	return sparse
 }
 
 // MergeTerms sums per-node term buckets by value and applies the

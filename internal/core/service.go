@@ -15,6 +15,15 @@ import (
 	"hetsyslog/internal/taxonomy"
 )
 
+// DocIndexer receives a service's classified documents when they are
+// routed somewhere other than the local Store — e.g. a multi-node
+// cluster router (internal/cluster satisfies this without the import).
+// IndexBatch must be safe to retry: the pipeline redelivers the whole
+// batch on error, preferring duplicates to loss.
+type DocIndexer interface {
+	IndexBatch(ctx context.Context, docs []store.Doc) error
+}
+
 // Service is the deployed system: each incoming record is classified in
 // real time, indexed into Tivan with its category (so every §4.5 view can
 // group by it), and routed to the alert manager when actionable. It
@@ -29,15 +38,6 @@ import (
 // one Write call, alerting and sequence observation happen in batch
 // order on the calling goroutine, so a Notifier only sees concurrent
 // calls when Write itself is called concurrently.
-// DocIndexer receives a service's classified documents when they are
-// routed somewhere other than the local Store — e.g. a multi-node
-// cluster router (internal/cluster satisfies this without the import).
-// IndexBatch must be safe to retry: the pipeline redelivers the whole
-// batch on error, preferring duplicates to loss.
-type DocIndexer interface {
-	IndexBatch(ctx context.Context, docs []store.Doc) error
-}
-
 type Service struct {
 	Classifier *TextClassifier
 	Store      *store.Store

@@ -121,7 +121,8 @@ func (s *shard) histogram(q Query, interval int64, counts map[int64]int) int {
 // sparse non-empty buckets (ascending by Start, all on the same interval
 // grid). When the span from first to last bucket would exceed
 // MaxHistogramBuckets — or overflows outright — the sparse input is
-// returned unchanged, bounding the allocation. It is exported so a
+// returned unchanged, bounding the allocation; so is an input without
+// gaps, which is already the dense form. It is exported so a
 // cluster coordinator merging per-node sparse histograms applies exactly
 // the same materialization rule as a single store.
 func FillHistogram(sparse []HistogramBucket, interval time.Duration) []HistogramBucket {
@@ -136,7 +137,7 @@ func FillHistogram(sparse []HistogramBucket, interval time.Duration) []Histogram
 	span := hi - lo
 	// span < 0 means hi-lo overflowed int64 (a zero-time doc next to a
 	// current one at a tiny interval does exactly this).
-	if span < 0 || span+1 > MaxHistogramBuckets || span+1 <= 0 {
+	if span < 0 || span+1 > MaxHistogramBuckets || span+1 <= 0 || span+1 == int64(len(sparse)) {
 		return sparse
 	}
 	out := make([]HistogramBucket, span+1)

@@ -2,10 +2,12 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -142,46 +144,214 @@ func (jq jsonQuery) toQuery() (Query, error) {
 	}
 }
 
+// Querier is the read API behind the query routes. A store node answers it
+// through an adapter over *Store, a cluster front (cluster.Coordinator)
+// directly. Only a front's reads fail — a partition no live node could
+// answer — and QueryMux answers a failed read 502.
+type Querier interface {
+	// Search returns the top size hits by time, newest first unless
+	// sortAsc (size 0 = 10, negative = unlimited).
+	Search(ctx context.Context, q Query, size int, sortAsc bool) ([]Hit, error)
+	Count(ctx context.Context, q Query) (int, error)
+	// DateHistogramSparse returns the non-empty buckets, ascending by Start.
+	DateHistogramSparse(ctx context.Context, q Query, interval time.Duration) ([]HistogramBucket, error)
+	Terms(ctx context.Context, q Query, field string, size int) ([]TermBucket, error)
+}
+
+// storeQuerier answers Querier from a local store, whose reads never fail.
+type storeQuerier struct{ st *Store }
+
+func (s storeQuerier) Search(_ context.Context, q Query, size int, sortAsc bool) ([]Hit, error) {
+	return s.st.Search(SearchRequest{Query: q, Size: size, SortAsc: sortAsc}), nil
+}
+
+func (s storeQuerier) Count(_ context.Context, q Query) (int, error) {
+	return s.st.CountQuery(q), nil
+}
+
+func (s storeQuerier) DateHistogramSparse(_ context.Context, q Query, interval time.Duration) ([]HistogramBucket, error) {
+	return s.st.DateHistogramSparse(q, interval), nil
+}
+
+func (s storeQuerier) Terms(_ context.Context, q Query, field string, size int) ([]TermBucket, error) {
+	return s.st.Terms(q, field, size), nil
+}
+
 // Handler returns an http.Handler exposing the store API:
 //
 //	POST /index         {"time": ..., "fields": {...}, "body": "..."}
 //	POST /index/batch   {"docs": [{...}, ...]}
 //	POST /search        {"query": {...}, "size": 100, "sort_asc": false}
+//	GET  /search?q=app:sshd+-preauth+temperature&size=20
 //	POST /count         {"query": {...}}
 //	POST /agg/datehist  {"query": {...}, "interval": "1m", "sparse": false}
 //	POST /agg/terms     {"query": {...}, "field": "hostname", "size": 10}
 //	GET  /stats
+//
+// Everything but the index routes is QueryMux, which a cluster front serves
+// too.
 func (st *Store) Handler() http.Handler {
-	mux := http.NewServeMux()
+	mux := QueryMux(storeQuerier{st}, func(context.Context) any { return st.Stats() })
 	mux.HandleFunc("POST /index", st.handleIndex)
 	mux.HandleFunc("POST /index/batch", st.handleIndexBatch)
-	mux.HandleFunc("POST /search", st.handleSearch)
-	mux.HandleFunc("POST /count", st.handleCount)
-	mux.HandleFunc("POST /agg/datehist", st.handleDateHist)
-	mux.HandleFunc("POST /agg/terms", st.handleTerms)
-	mux.HandleFunc("GET /stats", st.handleStats)
-	mux.HandleFunc("GET /search", st.handleSearchGet)
 	return mux
 }
 
-// handleSearchGet serves the curl-friendly query-string search:
-//
-//	GET /search?q=app:sshd+-preauth+temperature&size=20
-func (st *Store) handleSearchGet(w http.ResponseWriter, r *http.Request) {
-	q, err := ParseQueryString(r.URL.Query().Get("q"))
+// QueryMux returns a mux serving the five query routes over qr, and GET
+// /stats from stats: the one query API of a store node and a cluster front.
+// A body over MaxQueryBody is answered 413, one that does not decode or
+// whose query does not parse 400, a read that fails 502. GET /search takes
+// the query-string syntax (ParseQueryString) and a size that defaults to 10.
+func QueryMux(qr Querier, stats func(context.Context) any) *http.ServeMux {
+	api := queryAPI{qr}
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /search", api.search)
+	mux.HandleFunc("GET /search", api.searchGet)
+	mux.HandleFunc("POST /count", api.count)
+	mux.HandleFunc("POST /agg/datehist", api.dateHist)
+	mux.HandleFunc("POST /agg/terms", api.terms)
+	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, stats(r.Context()))
+	})
+	return mux
+}
+
+// The query routes' request bodies, declared once for the handlers that
+// decode them and the cluster client that sends them. An absent query
+// matches all documents.
+type (
+	SearchBody struct {
+		Query   json.RawMessage `json:"query"`
+		Size    int             `json:"size"`
+		SortAsc bool            `json:"sort_asc"`
+	}
+	CountBody struct {
+		Query json.RawMessage `json:"query"`
+	}
+	DateHistBody struct {
+		Query    json.RawMessage `json:"query"`
+		Interval string          `json:"interval"`
+		// Sparse skips gap-filling: only non-empty buckets return. Cluster
+		// coordinators request this form and gap-fill once after merging.
+		Sparse bool `json:"sparse,omitempty"`
+	}
+	TermsBody struct {
+		Query json.RawMessage `json:"query"`
+		Field string          `json:"field"`
+		Size  int             `json:"size"`
+	}
+)
+
+// The answers of /search and /count; the aggregations answer bare bucket
+// lists.
+type (
+	SearchResult struct {
+		Hits  []Hit `json:"hits"`
+		Total int   `json:"total"`
+	}
+	CountResult struct {
+		Count int `json:"count"`
+	}
+)
+
+// queryAPI holds QueryMux's handlers.
+type queryAPI struct{ qr Querier }
+
+func (a queryAPI) search(w http.ResponseWriter, r *http.Request) {
+	var body SearchBody
+	if q, ok := readQuery(w, r, &body, &body.Query); ok {
+		a.answerSearch(w, r, q, body.Size, body.SortAsc)
+	}
+}
+
+func (a queryAPI) searchGet(w http.ResponseWriter, r *http.Request) {
+	params := r.URL.Query()
+	q, err := ParseQueryString(params.Get("q"))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	size := 10
-	if s := r.URL.Query().Get("size"); s != "" {
-		if _, err := fmt.Sscanf(s, "%d", &size); err != nil {
-			http.Error(w, "bad size", http.StatusBadRequest)
+	if s := params.Get("size"); s != "" {
+		if size, err = strconv.Atoi(s); err != nil {
+			http.Error(w, "bad size: "+err.Error(), http.StatusBadRequest)
 			return
 		}
 	}
-	hits := st.Search(SearchRequest{Query: q, Size: size})
-	writeJSON(w, map[string]any{"total": len(hits), "hits": hits})
+	a.answerSearch(w, r, q, size, false)
+}
+
+func (a queryAPI) answerSearch(w http.ResponseWriter, r *http.Request, q Query, size int, sortAsc bool) {
+	hits, err := a.qr.Search(r.Context(), q, size, sortAsc)
+	reply(w, SearchResult{Hits: hits, Total: len(hits)}, err)
+}
+
+func (a queryAPI) count(w http.ResponseWriter, r *http.Request) {
+	var body CountBody
+	if q, ok := readQuery(w, r, &body, &body.Query); ok {
+		n, err := a.qr.Count(r.Context(), q)
+		reply(w, CountResult{Count: n}, err)
+	}
+}
+
+func (a queryAPI) dateHist(w http.ResponseWriter, r *http.Request) {
+	var body DateHistBody
+	q, ok := readQuery(w, r, &body, &body.Query)
+	if !ok {
+		return
+	}
+	interval, err := time.ParseDuration(body.Interval)
+	if err != nil {
+		http.Error(w, "bad interval: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	buckets, err := a.qr.DateHistogramSparse(r.Context(), q, interval)
+	if !body.Sparse {
+		buckets = FillHistogram(buckets, interval)
+	}
+	reply(w, buckets, err)
+}
+
+func (a queryAPI) terms(w http.ResponseWriter, r *http.Request) {
+	var body TermsBody
+	q, ok := readQuery(w, r, &body, &body.Query)
+	if !ok {
+		return
+	}
+	if body.Field == "" {
+		http.Error(w, "field required", http.StatusBadRequest)
+		return
+	}
+	buckets, err := a.qr.Terms(r.Context(), q, body.Field, body.Size)
+	reply(w, buckets, err)
+}
+
+// readQuery decodes a query route's JSON body into body and parses the
+// query it holds at raw. When it reports false it has already answered:
+// 413 for a body over MaxQueryBody, 400 for one that does not decode or
+// parse.
+func readQuery(w http.ResponseWriter, r *http.Request, body any, raw *json.RawMessage) (Query, bool) {
+	if !decodeBody(w, r, MaxQueryBody, body) {
+		return nil, false
+	}
+	if len(*raw) == 0 {
+		return MatchAll{}, true
+	}
+	q, err := ParseQuery(*raw)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return nil, false
+	}
+	return q, true
+}
+
+// reply writes v as JSON, or answers 502 when the read behind it failed.
+func reply(w http.ResponseWriter, v any, err error) {
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadGateway)
+		return
+	}
+	writeJSON(w, v)
 }
 
 // Request bodies are read through http.MaxBytesReader, so a client cannot
@@ -196,10 +366,10 @@ const (
 	MaxBatchBody = 256 << 20
 )
 
-// DecodeBody decodes the request's JSON body, reading at most limit bytes
+// decodeBody decodes the request's JSON body, reading at most limit bytes
 // of it, into v. When it reports false it has already answered: 413 for a
 // body over the limit, 400 for one that does not decode.
-func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v); err != nil {
 		http.Error(w, err.Error(), bodyErrorStatus(err))
 		return false
@@ -224,7 +394,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 func (st *Store) handleIndex(w http.ResponseWriter, r *http.Request) {
 	var d Doc
-	if !DecodeBody(w, r, MaxBatchBody, &d) {
+	if !decodeBody(w, r, MaxBatchBody, &d) {
 		return
 	}
 	id := st.Index(d)
@@ -269,115 +439,9 @@ func (st *Store) handleIndexBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var body indexBatchBody
-	if !DecodeBody(w, r, MaxBatchBody, &body) {
+	if !decodeBody(w, r, MaxBatchBody, &body) {
 		return
 	}
 	first := st.IndexBatch(body.Docs)
 	writeJSON(w, map[string]int64{"first_id": first, "count": int64(len(body.Docs))})
-}
-
-func (st *Store) handleCount(w http.ResponseWriter, r *http.Request) {
-	var body searchBody
-	if !DecodeBody(w, r, MaxQueryBody, &body) {
-		return
-	}
-	q := Query(MatchAll{})
-	if len(body.Query) > 0 {
-		var err error
-		q, err = ParseQuery(body.Query)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-	}
-	writeJSON(w, map[string]int{"count": st.CountQuery(q)})
-}
-
-type searchBody struct {
-	Query   json.RawMessage `json:"query"`
-	Size    int             `json:"size"`
-	SortAsc bool            `json:"sort_asc"`
-}
-
-func (st *Store) handleSearch(w http.ResponseWriter, r *http.Request) {
-	var body searchBody
-	if !DecodeBody(w, r, MaxQueryBody, &body) {
-		return
-	}
-	q := Query(MatchAll{})
-	if len(body.Query) > 0 {
-		var err error
-		q, err = ParseQuery(body.Query)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-	}
-	hits := st.Search(SearchRequest{Query: q, Size: body.Size, SortAsc: body.SortAsc})
-	writeJSON(w, map[string]any{"total": len(hits), "hits": hits})
-}
-
-type dateHistBody struct {
-	Query    json.RawMessage `json:"query"`
-	Interval string          `json:"interval"`
-	// Sparse skips gap-filling: only non-empty buckets return. Cluster
-	// coordinators request this form and gap-fill once after merging.
-	Sparse bool `json:"sparse,omitempty"`
-}
-
-func (st *Store) handleDateHist(w http.ResponseWriter, r *http.Request) {
-	var body dateHistBody
-	if !DecodeBody(w, r, MaxQueryBody, &body) {
-		return
-	}
-	q := Query(MatchAll{})
-	if len(body.Query) > 0 {
-		var err error
-		q, err = ParseQuery(body.Query)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-	}
-	interval, err := time.ParseDuration(body.Interval)
-	if err != nil {
-		http.Error(w, "bad interval: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if body.Sparse {
-		writeJSON(w, st.DateHistogramSparse(q, interval))
-		return
-	}
-	writeJSON(w, st.DateHistogram(q, interval))
-}
-
-type termsBody struct {
-	Query json.RawMessage `json:"query"`
-	Field string          `json:"field"`
-	Size  int             `json:"size"`
-}
-
-func (st *Store) handleTerms(w http.ResponseWriter, r *http.Request) {
-	var body termsBody
-	if !DecodeBody(w, r, MaxQueryBody, &body) {
-		return
-	}
-	q := Query(MatchAll{})
-	if len(body.Query) > 0 {
-		var err error
-		q, err = ParseQuery(body.Query)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-	}
-	if body.Field == "" {
-		http.Error(w, "field required", http.StatusBadRequest)
-		return
-	}
-	writeJSON(w, st.Terms(q, body.Field, body.Size))
-}
-
-func (st *Store) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, st.Stats())
 }

@@ -2,6 +2,7 @@ package syslog
 
 import (
 	"bufio"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -122,4 +123,62 @@ func TestRealWorldSamples(t *testing.T) {
 			t.Errorf("Parse(%q): empty content", raw)
 		}
 	}
+}
+
+// errWouldBlock stands for a socket with nothing more to read yet.
+var errWouldBlock = errors.New("would block")
+
+// trickle hands out data at most chunk bytes per Read, then errWouldBlock
+// on every call, which it counts.
+type trickle struct {
+	data    []byte
+	chunk   int
+	blocked int
+}
+
+func (r *trickle) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		r.blocked++
+		return 0, errWouldBlock
+	}
+	n := copy(p[:min(len(p), r.chunk)], r.data)
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// FuzzReadFrame feeds arbitrary bytes, in arbitrary read sizes, through a
+// FrameReader whose stream then would block. ReadFrame must not panic nor
+// return a frame over maxFrameLen, and whenever FrameBuffered reports a
+// frame the next ReadFrame must finish without reading on to the block:
+// the TCP batch drain relies on it never to wait on the network.
+func FuzzReadFrame(f *testing.F) {
+	for _, s := range []string{
+		"5 hello3 abc", "5 hello9 abc", "5 hello12", "5 hello12345678 x",
+		"<34>one\n<34>two\r\n", "<34>torn", "0 x", "0abc\n", "01234567 x\n",
+		"0012 <34>hello\n", "1048576 x", "\n\r\n\n",
+	} {
+		f.Add([]byte(s), uint8(255), false)
+		f.Add([]byte(s), uint8(2), true)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, chunk uint8, small bool) {
+		src := &trickle{data: data, chunk: 1 + int(chunk)}
+		size := 64 << 10 // NewFrameReader's buffer
+		if small {
+			size = 16 // bufio's smallest: most lines outgrow it
+		}
+		fr := NewFrameReader(bufio.NewReaderSize(src, size))
+		for {
+			buffered, blocked := fr.FrameBuffered(), src.blocked
+			frame, err := fr.ReadFrame()
+			if buffered && src.blocked != blocked {
+				t.Fatalf("FrameBuffered reported a frame, but ReadFrame read on to the block (frame %q, err %v)", frame, err)
+			}
+			if err != nil {
+				return
+			}
+			if len(frame) > maxFrameLen {
+				t.Fatalf("frame of %d bytes, over maxFrameLen", len(frame))
+			}
+		}
+	})
 }

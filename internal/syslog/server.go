@@ -471,11 +471,13 @@ func (fr *FrameReader) ReadFrame() ([]byte, error) {
 		return buf, nil
 	}
 	// LF-delimited. ReadSlice hands back a view of the bufio buffer; only
-	// lines longer than the buffer fall into the accumulate path.
+	// lines longer than the buffer fall into the accumulate path, which
+	// stops once the line is past maxFrameLen, so a peer streaming an
+	// endless line is refused instead of buffered without limit.
 	line, err := fr.r.ReadSlice('\n')
 	if err == bufio.ErrBufferFull {
 		fr.scratch = append(fr.scratch[:0], line...)
-		for err == bufio.ErrBufferFull {
+		for err == bufio.ErrBufferFull && len(fr.scratch) <= maxFrameLen+1 { // +1: a CRLF's CR
 			line, err = fr.r.ReadSlice('\n')
 			fr.scratch = append(fr.scratch, line...)
 		}
@@ -484,7 +486,11 @@ func (fr *FrameReader) ReadFrame() ([]byte, error) {
 	if err != nil && len(line) == 0 {
 		return nil, err
 	}
-	return bytes.TrimRight(line, "\r\n"), nil
+	frame := bytes.TrimRight(line, "\r\n")
+	if err == bufio.ErrBufferFull || len(frame) > maxFrameLen {
+		return nil, fmt.Errorf("syslog: line longer than %d bytes", maxFrameLen)
+	}
+	return frame, nil
 }
 
 // leadingZeroIsOctet disambiguates a frame whose first byte is '0': it

@@ -276,6 +276,21 @@ func TestReadFrameOversizedPrefix(t *testing.T) {
 	}
 }
 
+func TestReadFrameOversizedLine(t *testing.T) {
+	// An LF line of maxFrameLen bytes is the longest frame taken; one byte
+	// more, or a line that never ends, is refused rather than buffered.
+	line := strings.Repeat("x", maxFrameLen)
+	f, err := ReadFrame(bufio.NewReader(strings.NewReader(line + "\r\n")))
+	if err != nil || len(f) != maxFrameLen {
+		t.Fatalf("maxFrameLen line: len %d, err %v", len(f), err)
+	}
+	for _, stream := range []string{line + "x\n", strings.Repeat("x", 1<<22)} {
+		if _, err := ReadFrame(bufio.NewReader(strings.NewReader(stream))); err == nil {
+			t.Errorf("%d-byte line: no error", len(stream))
+		}
+	}
+}
+
 func TestServerMetricsRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
 	g := &gather{}
