@@ -28,13 +28,14 @@ func benchClusterCfg(b *testing.B, nNodes, replication int) Config {
 	}
 }
 
-func benchDocs(n int) []store.Doc {
+// benchDocs returns n documents a second apart from hosts hosts.
+func benchDocs(n, hosts int) []store.Doc {
 	base := time.Date(2023, 7, 1, 0, 0, 0, 0, time.UTC)
 	docs := make([]store.Doc, n)
 	for i := range docs {
 		docs[i] = store.Doc{
 			Time:   base.Add(time.Duration(i) * time.Second),
-			Fields: store.F("hostname", fmt.Sprintf("cn%03d", i%64), "app", "kernel"),
+			Fields: store.F("hostname", fmt.Sprintf("cn%03d", i%hosts), "app", "kernel"),
 			Body:   fmt.Sprintf("CPU %d temperature above threshold", i),
 		}
 	}
@@ -89,7 +90,7 @@ func BenchmarkClusterRouterIndexBatch(b *testing.B) {
 			}
 			makeCluster()
 			defer func() { closeCluster() }()
-			docs := benchDocs(batch)
+			docs := benchDocs(batch, 64)
 			ctx := context.Background()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -110,11 +111,14 @@ func BenchmarkClusterRouterIndexBatch(b *testing.B) {
 }
 
 // BenchmarkClusterScatterGatherQuery measures coordinator queries against
-// a preloaded 3-node cluster: the scatter plan, per-node HTTP calls, and
-// the exact merge. The bare names run with the query cache enabled (the
-// default front wiring), so steady-state iterations after the first are
-// cache hits; the nocache variants measure the raw scatter every time —
-// the series comparable to pre-PR-8 baselines.
+// a 3-node cluster at replication 2 preloaded with 61 440 documents from
+// 512 hosts: the scatter plan, per-node HTTP calls, and the exact merge.
+// The bare names run with the query cache enabled (the default front
+// wiring), so steady-state iterations after the first are cache hits; the
+// nocache variants pay the scatter, the node hop and the merge every time.
+// Search is never cached: search reads every hit of one host, and
+// search/nocache a dashboard's newest 10 of everything. terms/nocache
+// merges a 512-bucket Terms answer from each node.
 func BenchmarkClusterScatterGatherQuery(b *testing.B) {
 	cfg := benchClusterCfg(b, 3, 2)
 	rt, err := NewRouter(cfg, nil)
@@ -134,7 +138,7 @@ func BenchmarkClusterScatterGatherQuery(b *testing.B) {
 	}
 
 	ctx := context.Background()
-	docs := benchDocs(20000)
+	docs := benchDocs(61440, 512)
 	for lo := 0; lo < len(docs); lo += 512 {
 		hi := lo + 512
 		if hi > len(docs) {
@@ -170,6 +174,14 @@ func BenchmarkClusterScatterGatherQuery(b *testing.B) {
 			}
 		}
 	})
+	b.Run("search/nocache", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := coNC.Search(ctx, nil, 10, false); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	b.Run("datehist", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -182,6 +194,14 @@ func BenchmarkClusterScatterGatherQuery(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := co.Terms(ctx, nil, "hostname", 10); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("terms/nocache", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := coNC.Terms(ctx, nil, "hostname", 10); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -48,7 +48,8 @@ func (g *Generation) Load() int64 {
 
 // queryCache memoizes merged coordinator results (Count,
 // DateHistogramSparse, Terms — not Search, whose hit payloads are unbounded) keyed on
-// (operation, canonical query JSON, parameters, store generation).
+// the store generation and the read's binary request (operation,
+// parameters, query).
 // Concurrent callers asking for the same key collapse onto one scatter,
 // singleflight style: the first caller fans out, the rest wait for its
 // merge. Errors are never cached, and a leader that fails lets the next

@@ -8,16 +8,19 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 	"time"
 
 	"hetsyslog/internal/store"
 )
 
-// NodeClient speaks the store's HTTP API to one cluster node. All calls
-// honor the passed context on top of the client's own timeout; a non-2xx
-// status or transport failure returns an error carrying the node URL so
-// breaker trips and failovers are attributable in logs. Response bodies
-// are always read to EOF — with or without a decode target — so the
+// NodeClient speaks the store's HTTP API to one cluster node: index
+// batches in the binary doc codec, reads in the binary read codec (both
+// internal/store), and GET /stats in JSON. All calls honor the passed
+// context on top of the client's own timeout; a non-2xx status or
+// transport failure returns an error carrying the node URL so breaker
+// trips and failovers are attributable in logs. Response bodies are
+// always read to EOF — with or without a decode target — so the
 // keep-alive connection returns to the transport's idle pool instead of
 // being torn down after every call.
 type NodeClient struct {
@@ -68,9 +71,9 @@ func rejected(err error) bool {
 		(se.status == http.StatusBadRequest || se.status == http.StatusUnsupportedMediaType)
 }
 
-// do issues one request and decodes the JSON response into out (out ==
-// nil: the body is drained and discarded). payload may be nil for GETs.
-func (c *NodeClient) do(ctx context.Context, method, path, contentType string, payload []byte, out any) error {
+// do issues one request and hands the response body to read (read == nil:
+// the body is only drained). payload may be nil for GETs.
+func (c *NodeClient) do(ctx context.Context, method, path, contentType string, payload []byte, read func(io.Reader) error) error {
 	var body io.Reader
 	if payload != nil {
 		body = bytes.NewReader(payload)
@@ -93,16 +96,14 @@ func (c *NodeClient) do(ctx context.Context, method, path, contentType string, p
 		return &statusError{url: c.BaseURL, path: path, status: resp.StatusCode,
 			msg: string(bytes.TrimSpace(msg))}
 	}
-	if out == nil {
-		drain(resp.Body)
-		return nil
+	if read != nil {
+		if err := read(resp.Body); err != nil {
+			return fmt.Errorf("cluster: node %s: read %s: %w", c.BaseURL, path, err)
+		}
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("cluster: node %s: decode %s: %w", c.BaseURL, path, err)
-	}
-	// The decoder stops at the end of the first JSON value; whatever
-	// trails it (the encoder's newline) must still be consumed or the
-	// transport abandons the connection instead of pooling it.
+	// Whatever read left (a JSON decoder stops before the encoder's
+	// newline) must still be consumed or the transport abandons the
+	// connection instead of pooling it.
 	drain(resp.Body)
 	return nil
 }
@@ -113,63 +114,78 @@ func drain(r io.Reader) {
 	_, _ = io.Copy(io.Discard, io.LimitReader(r, 1<<22))
 }
 
-// post sends body as JSON to path and decodes the JSON response into out
-// (skipped, but drained, when out is nil).
-func (c *NodeClient) post(ctx context.Context, path string, body, out any) error {
-	payload, err := json.Marshal(body)
-	if err != nil {
-		return fmt.Errorf("cluster: node %s: encode %s: %w", c.BaseURL, path, err)
-	}
-	return c.do(ctx, http.MethodPost, path, "application/json", payload, out)
-}
-
-// get fetches path and decodes the JSON response into out.
-func (c *NodeClient) get(ctx context.Context, path string, out any) error {
-	return c.do(ctx, http.MethodGet, path, "", nil, out)
-}
-
 // IndexBatchPayload bulk-indexes a batch already encoded in the binary
 // doc codec (store.DocsContentType) via POST /index/batch.
 func (c *NodeClient) IndexBatchPayload(ctx context.Context, payload []byte) error {
 	return c.do(ctx, http.MethodPost, "/index/batch", store.DocsContentType, payload, nil)
 }
 
+// answerBufPool recycles the buffers read answers are received into;
+// store.DecodeReadAnswer copies the strings out, so a buffer is free again
+// once the answer is decoded. A buffer over maxPooledAnswer (a broad
+// search's hits) is left to the collector.
+var answerBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledAnswer = 1 << 20
+
+// read sends one binary read request (store.ReadContentType) to POST /read
+// and decodes the node's binary answer.
+func (c *NodeClient) read(ctx context.Context, req store.ReadRequest) (store.ReadAnswer, error) {
+	buf := answerBufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer func() {
+		if buf.Cap() <= maxPooledAnswer {
+			answerBufPool.Put(buf)
+		}
+	}()
+	err := c.do(ctx, http.MethodPost, "/read", store.ReadContentType, req.Append(nil), func(r io.Reader) error {
+		_, err := buf.ReadFrom(r)
+		return err
+	})
+	if err != nil {
+		return store.ReadAnswer{}, err
+	}
+	ans, err := store.DecodeReadAnswer(req.Op, buf.Bytes())
+	if err != nil {
+		return store.ReadAnswer{}, fmt.Errorf("cluster: node %s: decode /read: %w", c.BaseURL, err)
+	}
+	return ans, nil
+}
+
 // Search runs a query on the node: its top size hits (negative =
 // unlimited), which the coordinator merges and truncates again.
-func (c *NodeClient) Search(ctx context.Context, q json.RawMessage, size int, sortAsc bool) ([]store.Hit, error) {
-	var out store.SearchResult
-	err := c.post(ctx, "/search", store.SearchBody{Query: q, Size: size, SortAsc: sortAsc}, &out)
-	return out.Hits, err
+func (c *NodeClient) Search(ctx context.Context, q store.Query, size int, sortAsc bool) ([]store.Hit, error) {
+	ans, err := c.read(ctx, store.ReadRequest{Op: store.ReadSearch, Query: q, Size: size, SortAsc: sortAsc})
+	return ans.Hits, err
 }
 
 // Count returns the node's matching-document count.
-func (c *NodeClient) Count(ctx context.Context, q json.RawMessage) (int, error) {
-	var out store.CountResult
-	err := c.post(ctx, "/count", store.CountBody{Query: q}, &out)
-	return out.Count, err
+func (c *NodeClient) Count(ctx context.Context, q store.Query) (int, error) {
+	ans, err := c.read(ctx, store.ReadRequest{Op: store.ReadCount, Query: q})
+	return ans.Count, err
 }
 
 // DateHistogramSparse returns the node's non-empty histogram buckets —
 // the merge-friendly form (summed by Start and gap-filled coordinator-
 // side, under the same MaxHistogramBuckets clamp as a single store).
-func (c *NodeClient) DateHistogramSparse(ctx context.Context, q json.RawMessage, interval time.Duration) ([]store.HistogramBucket, error) {
-	var out []store.HistogramBucket
-	err := c.post(ctx, "/agg/datehist", store.DateHistBody{Query: q, Interval: interval.String(), Sparse: true}, &out)
-	return out, err
+func (c *NodeClient) DateHistogramSparse(ctx context.Context, q store.Query, interval time.Duration) ([]store.HistogramBucket, error) {
+	ans, err := c.read(ctx, store.ReadRequest{Op: store.ReadHist, Query: q, Interval: interval})
+	return ans.Buckets, err
 }
 
-// Terms returns the node's full terms aggregation (size 0 = unlimited,
-// so the coordinator's merged top-k is exact, not an approximation from
-// per-node truncations).
-func (c *NodeClient) Terms(ctx context.Context, q json.RawMessage, field string, size int) ([]store.TermBucket, error) {
-	var out []store.TermBucket
-	err := c.post(ctx, "/agg/terms", store.TermsBody{Query: q, Field: field, Size: size}, &out)
-	return out, err
+// Terms returns the node's terms aggregation (size 0 = unlimited, which
+// the coordinator asks for so that its merged top-k is exact, not an
+// approximation from per-node truncations).
+func (c *NodeClient) Terms(ctx context.Context, q store.Query, field string, size int) ([]store.TermBucket, error) {
+	ans, err := c.read(ctx, store.ReadRequest{Op: store.ReadTerms, Query: q, Field: field, Size: size})
+	return ans.Terms, err
 }
 
 // Stats returns the node's store stats via GET /stats.
 func (c *NodeClient) Stats(ctx context.Context) (store.Stats, error) {
 	var out store.Stats
-	err := c.get(ctx, "/stats", &out)
+	err := c.do(ctx, http.MethodGet, "/stats", "", nil, func(r io.Reader) error {
+		return json.NewDecoder(r).Decode(&out)
+	})
 	return out, err
 }

@@ -614,6 +614,54 @@ func TestClusterSpoolReplayByteExact(t *testing.T) {
 	}
 }
 
+// TestClusterReadsByteExact: the coordinator's reads answer the bytes the
+// router stored. A hostname and a body that are not valid UTF-8 travel
+// byte-exact through the doc codec into the nodes; a read hop through
+// encoding/json rewrote them to U+FFFD on the way back, so Count of the
+// stored hostname found nothing, Terms returned "cn\uFFFD01" and Search the
+// rewritten body. The cache is off: every read crosses the hop.
+func TestClusterReadsByteExact(t *testing.T) {
+	const host, body = "cn\xff01", "temp \xfe above threshold"
+	_, urls := newTestNodes(t, 3)
+	cfg := fastClusterCfg(urls, "")
+	cfg.QueryCacheSize = -1
+	rt, err := NewRouter(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := []store.Doc{
+		{Time: sgBase, Fields: store.F("hostname", host, "app", "kernel"), Body: body},
+		{Time: sgBase.Add(time.Second), Fields: store.F("hostname", "cn002", "app", "kernel"), Body: "fan ok"},
+	}
+	if err := rt.IndexBatch(context.Background(), docs); err != nil {
+		t.Fatal(err)
+	}
+	rt.Close()
+	co, err := NewCoordinator(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	q := store.Term{Field: "hostname", Value: host}
+	if n, err := co.Count(ctx, q); err != nil || n != 1 {
+		t.Errorf("Count(hostname %q) = %d, %v; want 1", host, n, err)
+	}
+	terms, err := co.Terms(ctx, nil, "hostname", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []store.TermBucket{{Value: "cn002", Count: 1}, {Value: host, Count: 1}}; !reflect.DeepEqual(terms, want) {
+		t.Errorf("Terms(hostname) = %#v, want %#v", terms, want)
+	}
+	hits, err := co.Search(ctx, q, 10, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hits) != 1 || hits[0].Doc.Body != body || hits[0].Doc.Fields.Value("hostname") != host {
+		t.Errorf("Search(hostname %q) = %d hits %#v, want one with body %q", host, len(hits), hits, body)
+	}
+}
+
 // TestClusterSpoolRejectedFrames: a spooled frame the node refuses — junk
 // here, as a frame an older build spooled in another format would be — is
 // dropped and counted lost, the frames behind it still replay, and the
@@ -667,7 +715,8 @@ func TestClusterSpoolRejectedFrames(t *testing.T) {
 // One request table runs against a single store node and against a
 // coordinator over three nodes at replication 2 holding the same
 // documents; each row must answer its status, and the same status and
-// the same decoded body on both.
+// the same decoded body on both. Then the four reads go through the
+// binary POST /read on both and must answer what the JSON routes did.
 func TestClusterFrontParity(t *testing.T) {
 	// Distinct timestamps leave no ties for the hit order to break by
 	// per-node id; the hour between the two runs leaves empty minute
@@ -760,6 +809,90 @@ func TestClusterFrontParity(t *testing.T) {
 			t.Errorf("%s: bodies differ\nnode:  %.300s\nfront: %.300s", label, fmt.Sprint(nodeBody), fmt.Sprint(frontBody))
 		}
 	}
+
+	// The binary read route: each of the four reads answers the same on a
+	// node and a front, and the same as the JSON route asked the same read.
+	hostQ := store.Term{Field: "hostname", Value: "cn001"}
+	for _, tc := range []struct {
+		req        store.ReadRequest
+		path, body string
+	}{
+		{store.ReadRequest{Op: store.ReadSearch, Query: hostQ, Size: 5}, "/search", `{"query":` + host + `,"size":5}`},
+		{store.ReadRequest{Op: store.ReadSearch, Size: -1, SortAsc: true}, "/search", `{"size":-1,"sort_asc":true}`},
+		{store.ReadRequest{Op: store.ReadSearch}, "/search", `{}`},
+		{store.ReadRequest{Op: store.ReadCount, Query: hostQ}, "/count", `{"query":` + host + `}`},
+		{store.ReadRequest{Op: store.ReadCount}, "/count", `{}`},
+		{store.ReadRequest{Op: store.ReadHist, Interval: time.Minute}, "/agg/datehist", `{"interval":"1m","sparse":true}`},
+		{store.ReadRequest{Op: store.ReadHist, Query: hostQ, Interval: 30 * time.Second}, "/agg/datehist", `{"query":` + host + `,"interval":"30s","sparse":true}`},
+		{store.ReadRequest{Op: store.ReadTerms, Field: "hostname", Size: 2}, "/agg/terms", `{"field":"hostname","size":2}`},
+		{store.ReadRequest{Op: store.ReadTerms, Query: hostQ, Field: "app"}, "/agg/terms", `{"query":` + host + `,"field":"app"}`},
+	} {
+		label := fmt.Sprintf("POST /read as %s %s", tc.path, tc.body)
+		_, want := frontAnswer(t, node.URL, "POST", tc.path, tc.body)
+		for _, base := range []string{node.URL, front.URL} {
+			status, got := binaryAnswer(t, base, tc.req.Op, tc.req.Append(nil))
+			if status != http.StatusOK || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s on %s: status %d, answer\n%.300s\nwant\n%.300s", label, base, status, fmt.Sprint(got), fmt.Sprint(want))
+			}
+		}
+	}
+	good := (&store.ReadRequest{Op: store.ReadCount}).Append(nil)
+	vflip := append([]byte(nil), good...)
+	vflip[3] = 0x7f
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		want    int
+	}{
+		{"garbage", []byte("not a read"), http.StatusBadRequest},
+		{"JSON", []byte(`{"query":{"match_all":{}}}`), http.StatusBadRequest},
+		{"empty terms field", (&store.ReadRequest{Op: store.ReadTerms}).Append(nil), http.StatusBadRequest},
+		{"foreign version", vflip, http.StatusUnsupportedMediaType},
+	} {
+		for _, base := range []string{node.URL, front.URL} {
+			if status, _ := binaryAnswer(t, base, store.ReadCount, tc.payload); status != tc.want {
+				t.Errorf("POST /read %s on %s: status %d, want %d", tc.name, base, status, tc.want)
+			}
+		}
+	}
+}
+
+// binaryAnswer posts a binary read request and returns the status and, for
+// a 200, the answer decoded and rendered as the JSON route answers that
+// read, then normalized as frontAnswer normalizes it.
+func binaryAnswer(t *testing.T, base string, op store.ReadOp, payload []byte) (int, any) {
+	t.Helper()
+	resp, err := http.Post(base+"/read", store.ReadContentType, bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		return resp.StatusCode, string(raw)
+	}
+	ans, err := store.DecodeReadAnswer(op, raw)
+	if err != nil {
+		t.Fatalf("%s: answer does not decode: %v", base, err)
+	}
+	var asJSON any
+	switch op {
+	case store.ReadSearch:
+		asJSON = store.SearchResult{Hits: ans.Hits, Total: len(ans.Hits)}
+	case store.ReadCount:
+		asJSON = store.CountResult{Count: ans.Count}
+	case store.ReadHist:
+		asJSON = ans.Buckets
+	case store.ReadTerms:
+		asJSON = ans.Terms
+	}
+	if raw, err = json.Marshal(asJSON); err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, normalizeAnswer(t, raw)
 }
 
 // frontAnswer sends one request and returns its status and its decoded
@@ -783,9 +916,16 @@ func frontAnswer(t *testing.T, base, method, path, body string) (int, any) {
 	if resp.Header.Get("Content-Type") != "application/json" {
 		return resp.StatusCode, string(raw)
 	}
+	return resp.StatusCode, normalizeAnswer(t, raw)
+}
+
+// normalizeAnswer decodes a JSON answer and drops from its hits the fields
+// placement decides: per-node ids and the router's partition stamp.
+func normalizeAnswer(t *testing.T, raw []byte) any {
+	t.Helper()
 	var v any
 	if err := json.Unmarshal(raw, &v); err != nil {
-		t.Fatalf("%s %s: %v", method, path, err)
+		t.Fatalf("answer %.100s: %v", raw, err)
 	}
 	if m, ok := v.(map[string]any); ok {
 		hits, _ := m["hits"].([]any)
@@ -795,5 +935,5 @@ func frontAnswer(t *testing.T, base, method, path, body string) (int, any) {
 			delete(doc["fields"].(map[string]any), PartitionField)
 		}
 	}
-	return resp.StatusCode, v
+	return v
 }

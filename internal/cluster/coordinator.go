@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"net/http"
 	"sort"
@@ -74,13 +74,13 @@ func NewCoordinator(cfg Config, reg *obs.Registry) (*Coordinator, error) {
 }
 
 // scatter plans and executes one query: it assigns every partition to
-// its best live owner, groups partitions by node, marshals each node's
-// partition-restricted query, and calls fn once per node concurrently.
+// its best live owner, groups partitions by node, and calls fn once per
+// node concurrently with the query restricted to that node's partitions.
 // A failed node is marked dead for the rest of this query and its
 // partitions are retried on their next replica; scatter errors only when
 // some partition has no live owner left (its data is unreachable).
 func (co *Coordinator) scatter(ctx context.Context, q store.Query,
-	fn func(ctx context.Context, node int, raw json.RawMessage) error) error {
+	fn func(ctx context.Context, node int, q store.Query) error) error {
 	co.queryTotal.Inc()
 	start := time.Now()
 	defer func() { co.scatterLat.ObserveDuration(time.Since(start)) }()
@@ -125,10 +125,7 @@ func (co *Coordinator) scatter(ctx context.Context, q store.Query,
 			wg.Add(1)
 			go func(n int, parts []int) {
 				defer wg.Done()
-				raw, err := store.MarshalQuery(restrictToPartitions(q, parts))
-				if err == nil {
-					err = fn(ctx, n, raw)
-				}
+				err := fn(ctx, n, restrictToPartitions(q, parts))
 				mu.Lock()
 				results = append(results, result{node: n, parts: parts, err: err})
 				mu.Unlock()
@@ -160,26 +157,18 @@ func restrictToPartitions(q store.Query, parts []int) store.Query {
 }
 
 // cached routes fill through the merged-result cache when it is enabled,
-// keying on (operation, parameters, canonical query JSON, current ingest
-// generation). Ingest bumps the generation, which makes every stale key
-// unreachable — a cached value can therefore never predate a data change
-// under its own key. Cached values are shared across callers and must be
-// treated as immutable.
-func (co *Coordinator) cached(ctx context.Context, op, params string, q store.Query, fill func() (any, error)) (any, error) {
+// keying on the current ingest generation and req's binary encoding — the
+// operation, its parameters and the query, in the form a node receives and
+// keys its views by. Ingest bumps the generation, which makes every stale
+// key unreachable — a cached value can therefore never predate a data
+// change under its own key. Cached values are shared across callers and
+// must be treated as immutable.
+func (co *Coordinator) cached(ctx context.Context, req store.ReadRequest, fill func() (any, error)) (any, error) {
 	if co.cache == nil {
 		return fill()
 	}
-	if q == nil {
-		q = store.MatchAll{}
-	}
-	raw, err := store.MarshalQuery(q)
-	if err != nil {
-		// Unmarshalable query shape: skip the cache and let the scatter
-		// surface the real error.
-		return fill()
-	}
-	key := op + "|g" + strconv.FormatInt(co.gen.Load(), 10) + "|" + params + "|" + string(raw)
-	return co.cache.do(ctx, key, fill)
+	key := req.Append(binary.AppendVarint(nil, co.gen.Load()))
+	return co.cache.do(ctx, string(key), fill)
 }
 
 // Search scatter-gathers a search. size limits the merged result
@@ -195,8 +184,8 @@ func (co *Coordinator) cached(ctx context.Context, op, params string, q store.Qu
 func (co *Coordinator) Search(ctx context.Context, q store.Query, size int, sortAsc bool) ([]store.Hit, error) {
 	var mu sync.Mutex
 	var hits []store.Hit
-	err := co.scatter(ctx, q, func(ctx context.Context, node int, raw json.RawMessage) error {
-		h, err := co.clients[node].Search(ctx, raw, size, sortAsc)
+	err := co.scatter(ctx, q, func(ctx context.Context, node int, nq store.Query) error {
+		h, err := co.clients[node].Search(ctx, nq, size, sortAsc)
 		if err != nil {
 			return err
 		}
@@ -214,11 +203,11 @@ func (co *Coordinator) Search(ctx context.Context, q store.Query, size int, sort
 // Count scatter-gathers a count; per-partition counts sum exactly.
 // Results are memoized per ingest generation when the cache is enabled.
 func (co *Coordinator) Count(ctx context.Context, q store.Query) (int, error) {
-	v, err := co.cached(ctx, "count", "", q, func() (any, error) {
+	v, err := co.cached(ctx, store.ReadRequest{Op: store.ReadCount, Query: q}, func() (any, error) {
 		var mu sync.Mutex
 		total := 0
-		err := co.scatter(ctx, q, func(ctx context.Context, node int, raw json.RawMessage) error {
-			n, err := co.clients[node].Count(ctx, raw)
+		err := co.scatter(ctx, q, func(ctx context.Context, node int, nq store.Query) error {
+			n, err := co.clients[node].Count(ctx, nq)
 			if err != nil {
 				return err
 			}
@@ -253,11 +242,12 @@ func (co *Coordinator) DateHistogramSparse(ctx context.Context, q store.Query, i
 	if interval <= 0 {
 		interval = time.Minute
 	}
-	v, err := co.cached(ctx, "datehist", interval.String(), q, func() (any, error) {
+	req := store.ReadRequest{Op: store.ReadHist, Query: q, Interval: interval}
+	v, err := co.cached(ctx, req, func() (any, error) {
 		var mu sync.Mutex
 		var all [][]store.HistogramBucket
-		err := co.scatter(ctx, q, func(ctx context.Context, node int, raw json.RawMessage) error {
-			b, err := co.clients[node].DateHistogramSparse(ctx, raw, interval)
+		err := co.scatter(ctx, q, func(ctx context.Context, node int, nq store.Query) error {
+			b, err := co.clients[node].DateHistogramSparse(ctx, nq, interval)
 			if err != nil {
 				return err
 			}
@@ -281,11 +271,12 @@ func (co *Coordinator) DateHistogramSparse(ctx context.Context, q store.Query, i
 // value, and re-sorts/truncates once — exact, unlike merging per-node
 // top-k truncations.
 func (co *Coordinator) Terms(ctx context.Context, q store.Query, field string, size int) ([]store.TermBucket, error) {
-	v, err := co.cached(ctx, "terms", field+"|"+strconv.Itoa(size), q, func() (any, error) {
+	req := store.ReadRequest{Op: store.ReadTerms, Query: q, Field: field, Size: size}
+	v, err := co.cached(ctx, req, func() (any, error) {
 		var mu sync.Mutex
 		var all [][]store.TermBucket
-		err := co.scatter(ctx, q, func(ctx context.Context, node int, raw json.RawMessage) error {
-			b, err := co.clients[node].Terms(ctx, raw, field, 0)
+		err := co.scatter(ctx, q, func(ctx context.Context, node int, nq store.Query) error {
+			b, err := co.clients[node].Terms(ctx, nq, field, 0)
 			if err != nil {
 				return err
 			}

@@ -41,10 +41,11 @@ var docsMagic = [4]byte{'T', 'V', 'D', docsVersion}
 
 const docsVersion = 0x01
 
-// ErrCodecVersion marks a payload carrying the codec magic but a version
-// this build does not speak. HTTP handlers map it to 415, so a client can
-// tell a foreign payload from a broken node.
-var ErrCodecVersion = errors.New("store: unsupported doc codec version")
+// ErrCodecVersion marks a payload carrying a codec's magic (the doc codec
+// here, the read codec in readcodec.go) but a version this build does not
+// speak. HTTP handlers map it to 415, so a client can tell a foreign
+// payload from a broken node.
+var ErrCodecVersion = errors.New("store: unsupported codec version")
 
 // AppendDocsHeader appends the payload header for an n-doc batch to dst.
 // Routers assembling per-node payloads from pre-encoded doc spans call

@@ -57,56 +57,6 @@ func ParseQuery(raw []byte) (Query, error) {
 	return jq.toQuery()
 }
 
-// MarshalQuery renders a Query back into the JSON DSL — the inverse of
-// ParseQuery, used by cluster coordinators forwarding (possibly
-// partition-restricted) queries to remote store nodes over HTTP.
-func MarshalQuery(q Query) (json.RawMessage, error) {
-	jq, err := toJSONQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(jq)
-}
-
-func toJSONQuery(q Query) (jsonQuery, error) {
-	switch t := q.(type) {
-	case nil, MatchAll:
-		return jsonQuery{MatchAll: &struct{}{}}, nil
-	case Term:
-		return jsonQuery{Term: &jsonTerm{Field: t.Field, Value: t.Value}}, nil
-	case Match:
-		return jsonQuery{Match: &jsonMatch{Text: t.Text}}, nil
-	case TimeRange:
-		return jsonQuery{Range: &jsonRange{From: t.From, To: t.To}}, nil
-	case Bool:
-		jb := &jsonBool{}
-		for _, sub := range t.Must {
-			j, err := toJSONQuery(sub)
-			if err != nil {
-				return jsonQuery{}, err
-			}
-			jb.Must = append(jb.Must, j)
-		}
-		for _, sub := range t.Should {
-			j, err := toJSONQuery(sub)
-			if err != nil {
-				return jsonQuery{}, err
-			}
-			jb.Should = append(jb.Should, j)
-		}
-		for _, sub := range t.MustNot {
-			j, err := toJSONQuery(sub)
-			if err != nil {
-				return jsonQuery{}, err
-			}
-			jb.MustNot = append(jb.MustNot, j)
-		}
-		return jsonQuery{Bool: jb}, nil
-	default:
-		return jsonQuery{}, fmt.Errorf("store: cannot marshal query type %T", q)
-	}
-}
-
 func (jq jsonQuery) toQuery() (Query, error) {
 	switch {
 	case jq.Term != nil:
@@ -186,6 +136,7 @@ func (s storeQuerier) Terms(_ context.Context, q Query, field string, size int) 
 //	POST /count         {"query": {...}}
 //	POST /agg/datehist  {"query": {...}, "interval": "1m", "sparse": false}
 //	POST /agg/terms     {"query": {...}, "field": "hostname", "size": 10}
+//	POST /read          a binary read request (readcodec.go)
 //	GET  /stats
 //
 // Everything but the index routes is QueryMux, which a cluster front serves
@@ -197,14 +148,17 @@ func (st *Store) Handler() http.Handler {
 	return mux
 }
 
-// QueryMux returns a mux serving the five query routes over qr, and GET
-// /stats from stats: the one query API of a store node and a cluster front.
-// A body over MaxQueryBody is answered 413, one that does not decode or
-// whose query does not parse 400, a read that fails 502. GET /search takes
-// the query-string syntax (ParseQueryString) and a size that defaults to 10.
+// QueryMux returns a mux serving the five JSON query routes and the binary
+// POST /read over qr, and GET /stats from stats: the one query API of a
+// store node and a cluster front. A body over MaxQueryBody is answered 413,
+// one that does not decode or whose query does not parse 400, a read that
+// fails 502; a binary request in a foreign codec version gets 415. GET
+// /search takes the query-string syntax (ParseQueryString) and a size that
+// defaults to 10.
 func QueryMux(qr Querier, stats func(context.Context) any) *http.ServeMux {
 	api := queryAPI{qr}
 	mux := http.NewServeMux()
+	mux.HandleFunc("POST /read", api.read)
 	mux.HandleFunc("POST /search", api.search)
 	mux.HandleFunc("GET /search", api.searchGet)
 	mux.HandleFunc("POST /count", api.count)
@@ -216,9 +170,8 @@ func QueryMux(qr Querier, stats func(context.Context) any) *http.ServeMux {
 	return mux
 }
 
-// The query routes' request bodies, declared once for the handlers that
-// decode them and the cluster client that sends them. An absent query
-// matches all documents.
+// The JSON query routes' request bodies, the public form of a read. An
+// absent query matches all documents.
 type (
 	SearchBody struct {
 		Query   json.RawMessage `json:"query"`
@@ -231,8 +184,7 @@ type (
 	DateHistBody struct {
 		Query    json.RawMessage `json:"query"`
 		Interval string          `json:"interval"`
-		// Sparse skips gap-filling: only non-empty buckets return. Cluster
-		// coordinators request this form and gap-fill once after merging.
+		// Sparse skips gap-filling: only non-empty buckets return.
 		Sparse bool `json:"sparse,omitempty"`
 	}
 	TermsBody struct {
@@ -324,6 +276,65 @@ func (a queryAPI) terms(w http.ResponseWriter, r *http.Request) {
 	}
 	buckets, err := a.qr.Terms(r.Context(), q, body.Field, body.Size)
 	reply(w, buckets, err)
+}
+
+// readBufPool recycles the buffers POST /read reads requests into and
+// writes answers from. DecodeReadRequest copies the strings out, so a
+// buffer is free for the next request as soon as the handler returns.
+var readBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledReadBuf bounds the buffers readBufPool keeps: a large search
+// answer is not held for the next request.
+const maxPooledReadBuf = 1 << 20
+
+// read answers POST /read: one binary read request, one binary answer.
+func (a queryAPI) read(w http.ResponseWriter, r *http.Request) {
+	buf := readBufPool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledReadBuf {
+			readBufPool.Put(buf)
+		}
+	}()
+	buf.Reset()
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxQueryBody)); err != nil {
+		http.Error(w, err.Error(), bodyErrorStatus(err))
+		return
+	}
+	req, err := DecodeReadRequest(buf.Bytes())
+	if err != nil {
+		http.Error(w, err.Error(), codecErrorStatus(err))
+		return
+	}
+	var ans ReadAnswer
+	ctx, q := r.Context(), req.Query
+	switch req.Op {
+	case ReadCount:
+		ans.Count, err = a.qr.Count(ctx, q)
+	case ReadHist:
+		ans.Buckets, err = a.qr.DateHistogramSparse(ctx, q, req.Interval)
+	case ReadTerms:
+		ans.Terms, err = a.qr.Terms(ctx, q, req.Field, req.Size)
+	case ReadSearch:
+		ans.Hits, err = a.qr.Search(ctx, q, req.Size, req.SortAsc)
+	}
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadGateway)
+		return
+	}
+	buf.Reset()
+	buf.Write(AppendReadAnswer(buf.AvailableBuffer(), req.Op, &ans))
+	w.Header().Set("Content-Type", ReadContentType)
+	_, _ = w.Write(buf.Bytes())
+}
+
+// codecErrorStatus answers a binary payload that does not decode: 415 when
+// it is in a codec version this build does not speak, 400 otherwise. Either
+// way the node is up and the payload is at fault.
+func codecErrorStatus(err error) int {
+	if errors.Is(err, ErrCodecVersion) {
+		return http.StatusUnsupportedMediaType
+	}
+	return http.StatusBadRequest
 }
 
 // readQuery decodes a query route's JSON body into body and parses the
@@ -425,13 +436,7 @@ func (st *Store) handleIndexBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		docs, err := DecodeDocs(buf.Bytes(), nil)
 		if err != nil {
-			// A versioned-but-foreign payload gets 415, garbage a plain bad
-			// request; either way the node is up and the payload is at fault.
-			status := http.StatusBadRequest
-			if errors.Is(err, ErrCodecVersion) {
-				status = http.StatusUnsupportedMediaType
-			}
-			http.Error(w, err.Error(), status)
+			http.Error(w, err.Error(), codecErrorStatus(err))
 			return
 		}
 		first := st.IndexBatch(docs)

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -212,44 +211,6 @@ func TestHTTPSearchGet(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad q -> %d", resp2.StatusCode)
-	}
-}
-
-// TestMarshalQueryRoundTrip: MarshalQuery must be the exact inverse of
-// ParseQuery for every query shape — the cluster coordinator relies on
-// it to forward partition-restricted queries to remote nodes.
-func TestMarshalQueryRoundTrip(t *testing.T) {
-	queries := []Query{
-		MatchAll{},
-		Term{Field: "hostname", Value: "cn101"},
-		Match{Text: "temperature throttled"},
-		TimeRange{From: t0, To: t0.Add(time.Hour)},
-		Bool{
-			Must:    []Query{Term{Field: "app", Value: "sshd"}, Match{Text: "closed"}},
-			Should:  []Query{Term{Field: "_part", Value: "3"}, Term{Field: "_part", Value: "7"}},
-			MustNot: []Query{Match{Text: "preauth"}},
-		},
-	}
-	for _, q := range queries {
-		raw, err := MarshalQuery(q)
-		if err != nil {
-			t.Fatalf("MarshalQuery(%#v): %v", q, err)
-		}
-		back, err := ParseQuery(raw)
-		if err != nil {
-			t.Fatalf("ParseQuery(%s): %v", raw, err)
-		}
-		if !reflect.DeepEqual(back, q) {
-			t.Errorf("round trip changed query:\n  in  %#v\n  out %#v\n  via %s", q, back, raw)
-		}
-	}
-	// nil marshals as match_all.
-	raw, err := MarshalQuery(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back, _ := ParseQuery(raw); !reflect.DeepEqual(back, MatchAll{}) {
-		t.Errorf("nil marshaled to %#v", back)
 	}
 }
 

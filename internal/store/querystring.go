@@ -18,8 +18,9 @@ import (
 //	-app:sshd                        negated field equality
 //
 // Terms combine with AND semantics. An empty string matches everything.
-// A query that is not valid UTF-8 is refused: the JSON DSL a cluster
-// coordinator forwards it in cannot carry it unchanged.
+// A query that is not valid UTF-8 is refused, so the query string accepts
+// no query the JSON DSL, which cannot carry such bytes unchanged, could not
+// also express.
 func ParseQueryString(s string) (Query, error) {
 	if !utf8.ValidString(s) {
 		return nil, fmt.Errorf("store: query is not valid UTF-8")

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 )
@@ -171,21 +170,20 @@ func sameQuery(a, b Query) bool {
 	return false
 }
 
-// checkRoundTrip requires a parsed query to re-marshal into the JSON DSL
-// and parse back to an equal query: what a cluster coordinator forwards to
-// its nodes is the query it was asked.
+// checkRoundTrip requires a parsed query to survive the binary read
+// request a cluster coordinator forwards it in — restricted to partitions,
+// as the coordinator sends it — and decode back to an equal query: what a
+// node answers is the query the front was asked.
 func checkRoundTrip(t *testing.T, q Query) {
 	t.Helper()
-	raw, err := MarshalQuery(q)
+	fwd := Bool{Must: []Query{q}, Should: []Query{Term{Field: "_part", Value: "3"}}}
+	req := ReadRequest{Op: ReadCount, Query: fwd}
+	back, err := DecodeReadRequest(req.Append(nil))
 	if err != nil {
-		t.Fatalf("parsed query %#v does not marshal: %v", q, err)
+		t.Fatalf("forwarded query %#v does not decode: %v", q, err)
 	}
-	back, err := ParseQuery(raw)
-	if err != nil {
-		t.Fatalf("marshalled query %s does not parse: %v", raw, err)
-	}
-	if !sameQuery(q, back) {
-		t.Fatalf("query %#v round-trips through %s to %#v", q, raw, back)
+	if !sameQuery(fwd, back.Query) {
+		t.Fatalf("query %#v is forwarded as %#v", fwd, back.Query)
 	}
 }
 
@@ -205,7 +203,7 @@ func queryStrings() []string {
 }
 
 // FuzzParseQueryString fuzzes the GET /search query language: it never
-// panics, and whatever it accepts survives the coordinator's JSON hop.
+// panics, and whatever it accepts survives the coordinator's binary hop.
 func FuzzParseQueryString(f *testing.F) {
 	for _, s := range queryStrings() {
 		f.Add(s)
@@ -220,17 +218,43 @@ func FuzzParseQueryString(f *testing.F) {
 }
 
 // FuzzParseQuery fuzzes the JSON query DSL every query endpoint decodes:
-// it never panics, and whatever it accepts re-marshals to JSON that parses
-// back to the same query.
+// it never panics, and whatever it accepts survives the binary read request
+// a coordinator forwards it in. The first seeds are diffQueries' shapes.
 func FuzzParseQuery(f *testing.F) {
-	for _, q := range diffQueries(rand.New(rand.NewSource(31))) {
-		raw, err := MarshalQuery(q)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add([]byte(raw))
-	}
 	for _, raw := range []string{
+		`{"match_all":{}}`,
+		`{"term":{"field":"hostname","value":"gpu01"}}`,
+		`{"term":{"field":"hostname","value":"CN001"}}`,
+		`{"term":{"field":"HOSTNAME","value":"cn001"}}`,
+		`{"term":{"field":"hostname","value":"k"}}`,
+		`{"term":{"field":"hostname","value":"nœud7"}}`,
+		`{"term":{"field":"hostname","value":""}}`,
+		`{"term":{"field":"missing","value":"x"}}`,
+		`{"term":{"field":"a\u0000b","value":"sshd"}}`,
+		`{"term":{"field":"a","value":"b\u0000sshd"}}`,
+		`{"match":{"text":"temperature"}}`,
+		`{"match":{"text":"Temperature THRESHOLD"}}`,
+		`{"match":{"text":"élevée"}}`,
+		`{"match":{"text":"temperature 3"}}`,
+		`{"match":{"text":"tokens matching nothing whatsoever"}}`,
+		`{"match":{"text":" ,; "}}`,
+		`{"range":{"from":"2023-11-14T22:13:20Z"}}`,
+		`{"range":{"to":"2023-11-14T22:13:20Z"}}`,
+		`{"range":{"from":"1969-12-07T17:25:52Z","to":"2023-11-14T22:13:20Z"}}`,
+		`{"range":{"from":"2023-11-14T22:13:21Z","to":"2023-11-14T22:13:23Z"}}`,
+		`{"bool":{"must":[{"match_all":{}}],"should":[{"term":{"field":"_part","value":"1"}},{"term":{"field":"_part","value":"99"}}]}}`,
+		`{"bool":{"must":[{"term":{"field":"hostname","value":"gpu01"}}],"should":[{"term":{"field":"_part","value":"0"}},{"term":{"field":"_part","value":"4"}}]}}`,
+		`{"bool":{"must":[{"bool":{"must":[{"match":{"text":"temperature"}},{"range":{"from":"2023-11-14T22:13:20Z"}}]}}],"should":[{"term":{"field":"_part","value":"99"}}]}}`,
+		`{"bool":{"must":[{"match":{"text":"temperature"}},{"term":{"field":"app","value":"sshd"}}],"must_not":[{"term":{"field":"hostname","value":"cn001"}}]}}`,
+		`{"bool":{"must_not":[{"match":{"text":"temperature"}},{"term":{"field":"rack","value":"r1"}}]}}`,
+		`{"bool":{"should":[{"match":{"text":"throttled"}},{"term":{"field":"app","value":"sshd"}}]}}`,
+		`{"bool":{"should":[{"match":{"text":"cpu temperature"}},{"bool":{"must":[{"term":{"field":"hostname","value":"mgmt"}}],"must_not":[{"term":{"field":"rack","value":"r0"}}]}}]}}`,
+		`{"bool":{"should":[{"term":{"field":"rack","value":"r2"}},{"range":{"to":"2023-11-14T22:13:20Z"}}]}}`,
+		`{"bool":{"must":[{"term":{"field":"missing","value":"x"}}],"should":[{"term":{"field":"_part","value":"2"}},{"term":{"field":"_part","value":"99"}}]}}`,
+		`{"bool":{"must":[{"match":{"text":"temperature"}}],"should":[{"term":{"field":"hostname","value":"CN001"}},{"term":{"field":"hostname","value":"Gpu01"}},{"term":{"field":"hostname","value":"k"}},{"term":{"field":"hostname","value":"nœud7"}},{"term":{"field":"hostname","value":""}},{"term":{"field":"hostname","value":"nowhere"}}]}}`,
+		`{"bool":{"must":[{"term":{"field":"hostname","value":"K"}}],"must_not":[{"bool":{"should":[{"term":{"field":"rack","value":"R1"}},{"term":{"field":"rack","value":"ラック"}}]}}]}}`,
+		`{"bool":{"must":[{"term":{"field":"hostname","value":"cn002"}}],"should":[{"term":{"field":"rack","value":"r1"}},{"term":{"field":"app","value":"SSHD"}}]}}`,
+		`{"bool":{"should":[{"term":{"field":"missing","value":"x"}}]}}`,
 		`{}`, `{"match_all":{}}`, `{"bool":{}}`, `{"bool":{"must":[{}]}}`,
 		`{"term":{"field":"app","value":"sshd"},"match":{"text":"x"}}`,
 		`{"range":{"from":"2023-07-01T00:00:00+02:00"}}`, `{"range":{"to":"not a time"}}`,

@@ -167,7 +167,8 @@ const (
 // in a canonical binary form where strings are length-prefixed and lists
 // counted, so two reads share a key exactly when they share an answer.
 // Keys are built in pooled buffers, so a read whose view exists allocates
-// nothing for its key.
+// nothing for its key. A binary read request (readcodec.go) is written in
+// the same form.
 type viewKey struct{ b []byte }
 
 var viewKeyPool = sync.Pool{New: func() any { return new(viewKey) }}
