@@ -10,7 +10,6 @@
 //	          [-train-scale 20000] [-cooldown 1m] [-workers 8] [-flush-workers 2]
 //	          [-metrics-addr :9600] [-classify-cache=false]
 //	          [-classify-cache-size 32768] [-classify-cache-shards 8]
-//	          [-spool-dir /var/spool/collector] [-spool-max-bytes 1073741824]
 //	          [-write-timeout 30s] [-breaker-threshold 5]
 //	          [-detect] [-detect-window 1m] [-detect-zscore 3]
 //	          [-detect-max-sources 1048576]
@@ -18,9 +17,12 @@
 // With -cluster-nodes, classified documents route across the listed
 // remote store nodes (replication 2 by default) instead of an embedded
 // store, and the HTTP API scatter-gathers queries across them; the
-// /views dashboard reads an embedded store and is disabled in this mode:
+// /views dashboard reads an embedded store and is disabled in this mode.
+// -spool-dir gives each node a disk spool its share waits in while it is
+// down (a front only: an embedded store never refuses a batch):
 //
-//	collector -cluster-nodes http://10.0.0.1:9200,http://10.0.0.2:9200 -replication 2
+//	collector -cluster-nodes http://10.0.0.1:9200,http://10.0.0.2:9200 -replication 2 \
+//	          -spool-dir /var/spool/collector [-spool-max-bytes 1073741824]
 package main
 
 import (

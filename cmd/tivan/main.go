@@ -7,17 +7,19 @@
 //
 //	tivan [-http :9200] [-udp :5514] [-tcp :5514] [-shards 6] [-flush-workers 2]
 //	      [-data snapshot.json] [-retention 720h]
-//	      [-metrics-addr :9600] [-spool-dir /var/spool/tivan]
-//	      [-spool-max-bytes 1073741824] [-write-timeout 30s]
+//	      [-metrics-addr :9600] [-write-timeout 30s]
 //	      [-detect] [-detect-window 1m] [-detect-zscore 3]
 //
 // With -cluster-nodes, tivan becomes a stateless cluster front instead
 // of a single-node store: ingest routes across the listed store nodes
 // (each itself a plain tivan) with -replication copies per document, and
-// the HTTP API scatter-gathers queries across them:
+// the HTTP API scatter-gathers queries across them. -spool-dir gives each
+// node a disk spool its share waits in while it is down; -spool-dir and
+// the other cluster flags need -cluster-nodes, and -data and -retention
+// need an embedded store:
 //
 //	tivan -cluster-nodes http://10.0.0.1:9200,http://10.0.0.2:9200,http://10.0.0.3:9200 \
-//	      -replication 2 -spool-dir /var/spool/tivan
+//	      -replication 2 -spool-dir /var/spool/tivan [-spool-max-bytes 1073741824]
 //
 // Try it:
 //

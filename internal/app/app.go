@@ -56,20 +56,18 @@ type Config struct {
 	MetricsAddr      string // /metrics + /debug/pprof; empty disables
 	IngestBatch      int    // collector.SyslogSource.MaxBatch
 
-	// Pipeline holds the pipeline knobs. With Cluster.Nodes set its spool
-	// fields configure the router's per-node spools instead: durability
-	// then lives there, and a second pipeline-level spool would only
-	// replay records back through classification.
+	// Pipeline holds the pipeline knobs.
 	Pipeline collector.Config
 	// Cluster, when Nodes is non-empty, replaces the embedded store with a
-	// router and a scatter-gather coordinator over those store nodes.
-	// SpoolDir, SpoolMaxBytes and BreakerThreshold are taken from
-	// Pipeline, and Gen is created here.
+	// router and a scatter-gather coordinator over those store nodes; its
+	// per-node spools are the deployment's only durability. Its
+	// BreakerThreshold is taken from Pipeline, and Gen is created here.
+	// Without Nodes, New refuses the settings its flags set (ignored).
 	Cluster cluster.Config
 
 	Shards    int           // embedded store shard count
-	DataFile  string        // snapshot: loaded by New, written by Run at shutdown
-	Retention time.Duration // drop embedded-store documents older than this
+	DataFile  string        // snapshot: loaded by New, written by Run at shutdown; no cluster
+	Retention time.Duration // drop embedded-store documents older than this; no cluster
 
 	// Classifier, when set, makes core.Service the sink — every record is
 	// classified, indexed with its category and considered for alerting —
@@ -129,6 +127,9 @@ func New(cfg Config) (*App, error) {
 	if cfg.Log == nil {
 		cfg.Log = os.Stderr
 	}
+	if err := cfg.ignored(); err != nil {
+		return nil, err
+	}
 	a := &App{cfg: cfg, Registry: obs.NewRegistry()}
 	reg := a.Registry
 	obs.RegisterRuntimeMemStats(reg)
@@ -136,13 +137,11 @@ func New(cfg Config) (*App, error) {
 	pipeCfg := cfg.Pipeline
 	if len(cfg.Cluster.Nodes) > 0 {
 		ccfg := cfg.Cluster
-		ccfg.SpoolDir, ccfg.SpoolMaxBytes = pipeCfg.SpoolDir, pipeCfg.SpoolMaxBytes
 		ccfg.BreakerThreshold = pipeCfg.BreakerThreshold
 		// One shared ingest generation ties the router to the coordinator's
 		// query cache: deliveries and spool replays invalidate cached
 		// aggregates by advancing it.
 		ccfg.Gen = cluster.NewGeneration()
-		pipeCfg.SpoolDir, pipeCfg.SpoolMaxBytes = "", 0
 		var err error
 		if a.Router, err = cluster.NewRouter(ccfg, reg); err != nil {
 			return nil, err
@@ -244,6 +243,39 @@ func New(cfg Config) (*App, error) {
 	}
 	a.Handler = a.mux()
 	return a, nil
+}
+
+// ignored refuses a setting the assembled deployment would accept and
+// then never use, naming its flag: the cluster settings belong to a
+// front (-cluster-nodes), and a front has no store to snapshot or age.
+func (cfg Config) ignored() error {
+	var errs []error
+	if len(cfg.Cluster.Nodes) == 0 {
+		c := cfg.Cluster
+		for _, s := range []struct {
+			flag string
+			set  bool
+		}{
+			{"-spool-dir", c.SpoolDir != ""},
+			{"-spool-max-bytes", c.SpoolMaxBytes != 0},
+			{"-replication", c.Replication != 0},
+			{"-partitions", c.Partitions != 0},
+			{"-time-slice", c.TimeSlice != 0},
+			{"-query-cache-size", c.QueryCacheSize != 0},
+		} {
+			if s.set {
+				errs = append(errs, fmt.Errorf("app: %s is set without -cluster-nodes; only a cluster front uses it", s.flag))
+			}
+		}
+	} else {
+		if cfg.DataFile != "" {
+			errs = append(errs, errors.New("app: -data is set with -cluster-nodes; a cluster front has no store to snapshot"))
+		}
+		if cfg.Retention != 0 {
+			errs = append(errs, errors.New("app: -retention is set with -cluster-nodes; a cluster front has no store to expire"))
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // InventoryEnricher returns the stage that stamps each record with its
@@ -490,8 +522,8 @@ func (a *App) retain(ctx context.Context) {
 // left on disk for the next one.
 func (a *App) logSummary() {
 	ps := a.Pipeline.Stats()
-	a.logf("shut down: ingested=%d filtered=%d flushed=%d dropped=%d spooled=%d; %s",
-		ps.Ingested, ps.Filtered, ps.Flushed, ps.Dropped, ps.Spooled, a.backend())
+	a.logf("shut down: ingested=%d filtered=%d flushed=%d dropped=%d; %s",
+		ps.Ingested, ps.Filtered, ps.Flushed, ps.Dropped, a.backend())
 	if a.Service != nil {
 		classified, actionable := a.Service.Counts()
 		sent, muted := a.Alerts.Counts()
@@ -503,9 +535,6 @@ func (a *App) logSummary() {
 				a.logf("detector %s fired=%d suppressed=%d", dc.Detector, dc.Fired, dc.Suppressed)
 			}
 		}
-	}
-	if ps.Spooled > 0 {
-		a.logf("%d records spooled in %s await replay on next start", ps.Spooled, a.cfg.Pipeline.SpoolDir)
 	}
 	if a.Router != nil {
 		for i, ns := range a.Router.Stats() {

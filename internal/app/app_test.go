@@ -311,6 +311,59 @@ func TestClusterFrontHonoursSharedFlags(t *testing.T) {
 	}
 }
 
+// TestNewRefusesIgnoredSettings: New refuses a setting the assembled
+// deployment would accept and never use, and names its flag — a cluster
+// setting without -cluster-nodes, or a store setting on a cluster front,
+// which has no store. The same settings where they apply are accepted.
+func TestNewRefusesIgnoredSettings(t *testing.T) {
+	urls, _ := storeNodes(t, 2)
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		args  []string
+		front bool   // with -cluster-nodes
+		want  string // in New's error; empty means accepted
+	}{
+		{[]string{"-spool-dir", dir}, false, "-spool-dir"},
+		{[]string{"-spool-max-bytes", "1024"}, false, "-spool-max-bytes"},
+		{[]string{"-replication", "1"}, false, "-replication"},
+		{[]string{"-partitions", "8"}, false, "-partitions"},
+		{[]string{"-time-slice", "10m"}, false, "-time-slice"},
+		{[]string{"-query-cache-size", "-1"}, false, "-query-cache-size"},
+		{[]string{"-data", filepath.Join(dir, "snap.json")}, true, "-data"},
+		{[]string{"-retention", "24h"}, true, "-retention"},
+		{[]string{"-spool-max-bytes", "1024"}, true, "SpoolMaxBytes 1024 set without SpoolDir"},
+
+		{[]string{"-spool-dir", filepath.Join(dir, "spool"), "-spool-max-bytes", "1024", "-replication", "1"}, true, ""},
+		{[]string{"-data", filepath.Join(dir, "snap.json"), "-retention", "24h"}, false, ""},
+	} {
+		var cfg Config
+		fs := flag.NewFlagSet("tivan", flag.ContinueOnError)
+		Flags(fs, &cfg)
+		// tivan's own two flags, bound as cmd/tivan binds them.
+		fs.StringVar(&cfg.DataFile, "data", "", "")
+		fs.DurationVar(&cfg.Retention, "retention", 0, "")
+		args := tc.args
+		if tc.front {
+			args = append([]string{"-cluster-nodes", strings.Join(urls, ",")}, args...)
+		}
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		a, err := New(loopback(cfg))
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%v: refused: %v", args, err)
+		case tc.want != "" && err == nil:
+			t.Errorf("%v: accepted, want an error naming %s", args, tc.want)
+		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%v: error %q does not name %s", args, err, tc.want)
+		}
+		if err == nil && a.Router != nil {
+			a.Router.Close()
+		}
+	}
+}
+
 // TestInventoryEnricher compares the map-backed stage with the closure
 // the binaries used to paste (linear Cluster.Lookup, rack formatted per
 // record) on every node of the inventory and on an unknown host.

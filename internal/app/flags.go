@@ -19,8 +19,8 @@ func Flags(fs *flag.FlagSet, cfg *Config) {
 	fs.IntVar(&cfg.IngestBatch, "ingest-batch", 0, "max syslog messages per listener read-loop batch handed to the pipeline (0 = default 256)")
 
 	fs.IntVar(&cfg.Pipeline.FlushWorkers, "flush-workers", 1, "concurrent pipeline flushers (batches in flight)")
-	fs.StringVar(&cfg.Pipeline.SpoolDir, "spool-dir", "", "directory for the disk spill queue: batches the sink refuses spool here and replay on recovery (empty disables)")
-	fs.Int64Var(&cfg.Pipeline.SpoolMaxBytes, "spool-max-bytes", 0, "spool size bound; oldest segment evicted past it (0 = unbounded)")
+	fs.StringVar(&cfg.Cluster.SpoolDir, "spool-dir", "", "cluster front only: directory for the per-node disk spools, where each node's share spools while it is down and replays when it recovers (empty disables)")
+	fs.Int64Var(&cfg.Cluster.SpoolMaxBytes, "spool-max-bytes", 0, "cluster front only: per-node spool size bound; oldest segment evicted past it (0 = unbounded)")
 	fs.DurationVar(&cfg.Pipeline.WriteTimeout, "write-timeout", 0, "per-attempt sink write timeout (0 = default 30s)")
 	fs.IntVar(&cfg.Pipeline.BreakerThreshold, "breaker-threshold", 0, "consecutive failed writes that trip the sink circuit breaker (0 = default 5)")
 

@@ -1,9 +1,8 @@
 package cluster
 
-// Cluster chaos suite. Test names deliberately contain Cluster or
-// ScatterGather so CI's focused gate
-// (`go test -run 'Cluster|ScatterGather' ./internal/...`) runs exactly
-// these, with and without -race.
+// Cluster chaos suite. Test names contain Cluster or ScatterGather, so
+// `go test -run 'Cluster|ScatterGather' ./internal/...` runs exactly
+// these; CI runs them with every other suite, with and without -race.
 
 import (
 	"bytes"
@@ -258,8 +257,7 @@ func TestClusterChaosNodeDeathZeroLoss(t *testing.T) {
 
 	// Pipeline-side conservation: the node death must be invisible here —
 	// the router acknowledged every batch (each record reached a live
-	// replica or a spool), so nothing dropped, retried into loss, or left
-	// in the pipeline's own spool.
+	// replica or a spool), so nothing dropped or retried into loss.
 	s := p.Stats()
 	if s.Ingested != s.Filtered+s.Flushed+s.Dropped+s.Spooled {
 		t.Errorf("invariant broken: Ingested (%d) != Filtered (%d) + Flushed (%d) + Dropped (%d) + Spooled (%d)",
@@ -708,6 +706,161 @@ func TestClusterSpoolRejectedFrames(t *testing.T) {
 	if ns.Breaker != "closed" || rt.nodes[1].breaker.Trips() != 0 {
 		t.Errorf("breaker %s after %d trips: a refused frame was charged as a node failure",
 			ns.Breaker, rt.nodes[1].breaker.Trips())
+	}
+}
+
+// checkSpoolIdentity asserts a quiescent node's spool accounting: every
+// record that entered its spool and has left it was replayed or evicted
+// (these tests spool no frame the node refuses, so none is Lost).
+func checkSpoolIdentity(t *testing.T, ns NodeStats) {
+	t.Helper()
+	if ns.Spooled-ns.SpoolRecords != ns.Replayed+ns.Evicted || ns.Lost != 0 {
+		t.Errorf("node %s: Spooled %d - SpoolRecords %d != Replayed %d + Evicted %d (Lost %d)",
+			ns.URL, ns.Spooled, ns.SpoolRecords, ns.Replayed, ns.Evicted, ns.Lost)
+	}
+}
+
+// TestClusterSpoolEvictedMidReplayCountedOnce: while a spooled frame's
+// replay POST is in flight, a live write the open breaker turns away
+// spools a third frame and the byte bound evicts the one in flight. That
+// frame reached the node, so it counts as replayed and not also as
+// evicted: every document is on the node exactly once and the spool
+// accounting balances.
+func TestClusterSpoolEvictedMidReplayCountedOnce(t *testing.T) {
+	st := store.New(2)
+	h := st.Handler()
+	var up atomic.Bool
+	var inFlight sync.Once
+	var rt *Router
+	pad := strings.Repeat("x", 3000) // two frames fit the bound below, three do not
+	doc := func(host string) []store.Doc {
+		return []store.Doc{{Time: sgBase, Fields: store.F("hostname", host), Body: pad}}
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !up.Load() {
+			http.Error(w, "node down", http.StatusServiceUnavailable)
+			return
+		}
+		if r.URL.Path == "/index/batch" {
+			// Frame a is in flight: its half-open probe holds the breaker,
+			// so this write spools frame c, evicting frame a's segment.
+			inFlight.Do(func() {
+				if err := rt.IndexBatch(context.Background(), doc("cn-c")); err != nil {
+					t.Errorf("write during replay: %v", err)
+				}
+			})
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+
+	cfg := fastClusterCfg([]string{srv.URL}, t.TempDir())
+	cfg.Replication = 1
+	cfg.SpoolMaxBytes = 6500
+	var err error
+	if rt, err = NewRouter(cfg, nil); err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	// A breaker on a test clock: it stays open until the clock moves.
+	var now atomic.Int64
+	rt.nodes[0].breaker = resilience.NewBreaker(resilience.BreakerConfig{
+		FailureThreshold: 1, InitialBackoff: time.Minute, MaxBackoff: time.Minute,
+		Jitter: resilience.NoJitter, Now: func() time.Time { return time.Unix(now.Load(), 0) },
+	})
+
+	ctx := context.Background()
+	for _, host := range []string{"cn-a", "cn-b"} { // a trips the breaker, b finds it open
+		if err := rt.IndexBatch(ctx, doc(host)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ns := rt.Stats()[0]; ns.SpoolRecords != 2 || ns.Evicted != 0 {
+		t.Fatalf("before replay: %+v, want frames a and b spooled", ns)
+	}
+	up.Store(true)
+	now.Add(int64(2 * time.Minute / time.Second))
+	rt.replayDrain(ctx, 0)
+
+	ns := rt.Stats()[0]
+	if ns.Spooled != 3 || ns.Replayed != 3 || ns.Evicted != 0 || ns.SpoolRecords != 0 {
+		t.Errorf("stats %+v, want Spooled 3, Replayed 3, Evicted 0, nothing left", ns)
+	}
+	checkSpoolIdentity(t, ns)
+	for _, host := range []string{"cn-a", "cn-b", "cn-c"} {
+		if n := len(st.Search(store.SearchRequest{Query: store.Term{Field: "hostname", Value: host}, Size: -1})); n != 1 {
+			t.Errorf("node holds %d copies of %s, want 1", n, host)
+		}
+	}
+}
+
+// TestClusterSpoolAccountingAcrossRestart: a node's spooled share replays
+// after the front restarts. One front spools every record for a node that
+// is down and closes; a second front over the same spool directory finds
+// them, counts them as spooled, and replays them once the node is up.
+func TestClusterSpoolAccountingAcrossRestart(t *testing.T) {
+	const total = 120
+	st := store.New(2)
+	h := st.Handler()
+	var up atomic.Bool
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !up.Load() {
+			http.Error(w, "node down", http.StatusServiceUnavailable)
+			return
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	cfg := fastClusterCfg([]string{srv.URL}, t.TempDir())
+	cfg.Replication = 1
+
+	rt1, err := NewRouter(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt1.Start(context.Background())
+	ctx := context.Background()
+	for i := 0; i < total; i += 10 {
+		var batch []collector.Record
+		for j := i; j < i+10; j++ {
+			batch = append(batch, clusterRecord(fmt.Sprintf("cn%03d", j), "kernel", fmt.Sprintf("before restart %d", j)))
+		}
+		if err := rt1.Write(ctx, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rt1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ns := rt1.Stats()[0]; ns.Spooled != total || ns.SpoolRecords != total {
+		t.Fatalf("first front: %+v, want all %d records spooled", ns, total)
+	}
+
+	rt2, err := NewRouter(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt2.Close()
+	if ns := rt2.Stats()[0]; ns.Spooled != total || ns.SpoolRecords != total {
+		t.Fatalf("restarted front: %+v, want the %d recovered records counted spooled", ns, total)
+	}
+	up.Store(true)
+	rt2.Start(ctx)
+	for deadline := time.Now().Add(20 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if ns := rt2.Stats()[0]; ns.SpoolRecords == 0 && ns.Replayed == total {
+			break
+		}
+	}
+	ns := rt2.Stats()[0]
+	if ns.Replayed != total || ns.SpoolRecords != 0 {
+		t.Fatalf("restarted front: %+v, want all %d records replayed", ns, total)
+	}
+	checkSpoolIdentity(t, ns)
+	if n := st.Count(); n != total {
+		t.Errorf("node holds %d docs, want %d", n, total)
+	}
+	if n := len(st.Terms(store.MatchAll{}, "hostname", 0)); n != total {
+		t.Errorf("node holds %d distinct hosts, want %d (each record once)", n, total)
 	}
 }
 

@@ -135,6 +135,9 @@ func (c Config) Validate() error {
 	if c.SpoolMaxBytes < 0 {
 		errs = append(errs, fmt.Errorf("cluster: SpoolMaxBytes must be >= 0 (got %d)", c.SpoolMaxBytes))
 	}
+	if c.SpoolMaxBytes > 0 && c.SpoolDir == "" {
+		errs = append(errs, fmt.Errorf("cluster: SpoolMaxBytes %d set without SpoolDir", c.SpoolMaxBytes))
+	}
 	if c.BreakerThreshold < 0 {
 		errs = append(errs, fmt.Errorf("cluster: BreakerThreshold must be >= 0 (got %d)", c.BreakerThreshold))
 	}

@@ -27,9 +27,9 @@ import (
 // cmd/collector). Write/IndexBatch return nil when every record reached
 // at least one durable place (a node or a spool); they error only when
 // some record achieved no durable placement at all, handing the batch
-// back to the pipeline's own retry/spool machinery (redelivery may then
-// duplicate records on nodes that had accepted — duplicates are
-// preferred to loss, matching the pipeline's contract).
+// back to the pipeline's retries (redelivery may then duplicate records
+// on nodes that had accepted — duplicates are preferred to loss,
+// matching the pipeline's contract).
 type Router struct {
 	cfg   Config
 	ring  *ring
@@ -109,6 +109,10 @@ func NewRouter(cfg Config, reg *obs.Registry) (*Router, error) {
 				return nil, err
 			}
 			nd.spool = spool
+			// Frames a previous process left behind enter this router's
+			// books as spooled, so Spooled - SpoolRecords == Replayed +
+			// Evicted (+ rejected frames, counted Lost) spans restarts.
+			nd.spooled.Add(spool.Records())
 		}
 		reg.GaugeFunc(nodeMetric("cluster_node_breaker_state", i),
 			"per-node circuit breaker state (0 closed, 1 half-open, 2 open)",
@@ -365,15 +369,17 @@ func (rt *Router) replayDrain(ctx context.Context, n int) {
 		}
 		// Count before publishing: a reader that sees the replayed docs
 		// (through a fresh generation) or the shorter spool must already
-		// see the counter that describes them. A refused Pop means the
-		// frame was concurrently evicted (and counted evicted) while the
-		// write was in flight; it was in fact delivered, so replayed is
-		// counted either way.
+		// see the counter that describes them.
 		nd.replayed.Add(int64(cnt))
 		// Replayed docs just became queryable on the node: invalidate
 		// cached query results, same as a live delivery.
 		rt.gen.Bump()
-		nd.spool.Pop(tok)
+		if !nd.spool.Pop(tok) {
+			// The frame was evicted while its write was in flight, and
+			// Append billed it as evicted. It was in fact delivered:
+			// reclassify it as replayed only.
+			nd.evicted.Add(-int64(cnt))
+		}
 	}
 }
 

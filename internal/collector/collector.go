@@ -2,10 +2,11 @@
 // infrastructure (§4.2): it ingests records from a source (typically the
 // syslog listener), runs them through a stage chain (metadata enrichment,
 // dedup, noise dropping, detection), buffers them, and flushes batches to
-// a sink (typically the Tivan store) with bounded retry, backpressure, a
-// circuit breaker, and an optional disk spill queue so a sink outage
-// spools records instead of dropping them — the durability Fluentd's file
-// buffer provides in the paper's deployment.
+// a sink (typically the Tivan store) with bounded retry, backpressure and
+// a circuit breaker. It keeps no disk buffer of its own: the only sink
+// that can refuse a batch in a deployment is the cluster router, and the
+// router spools each node's share itself (the durability Fluentd's file
+// buffer provides in the paper's deployment).
 package collector
 
 import (
@@ -81,7 +82,7 @@ type Source interface {
 // refused them at shutdown (they are accounted as Dropped); the batch
 // slice is copied before emitBatch returns, so callers may reuse it.
 // Accounting is identical to per-record emit, so
-// Ingested == Filtered + Flushed + Dropped + Spooled is unaffected.
+// Ingested == Filtered + Flushed + Dropped is unaffected.
 type BatchSource interface {
 	Source
 	RunBatch(ctx context.Context, emit func(Record) error,
@@ -98,7 +99,7 @@ type Stage interface {
 	// summaries, detector alerts — downstream of this stage: they run
 	// through the remaining chain, are counted as Ingested, and are
 	// enqueued like any other record, so the accounting invariant
-	// Ingested == Filtered + Flushed + Dropped + Spooled still holds.
+	// Ingested == Filtered + Flushed + Dropped still holds.
 	// emit blocks while the flush queue is full and never refuses a
 	// record, shutdown included: the flushers drain the queue until every
 	// stage has closed.
@@ -149,8 +150,7 @@ func (f FilterFunc) Process(r Record, _ func(Record)) (Record, bool) { return f(
 func (f FilterFunc) Apply(r Record) (Record, bool) { return f(r) }
 
 // Sink receives flushed batches. Write must be safe to retry: the
-// pipeline re-delivers the whole batch on error (possibly replayed from
-// the disk spool, possibly on a different goroutine). ctx carries the
+// pipeline re-delivers the whole batch on error. ctx carries the
 // pipeline's per-attempt write timeout; implementations doing I/O should
 // honor it.
 type Sink interface {
@@ -165,26 +165,24 @@ func (f SinkFunc) Write(ctx context.Context, batch []Record) error { return f(ct
 
 // Stats counts pipeline activity.
 type Stats struct {
-	Ingested int64 // records emitted by the source (plus spool-recovered ones)
+	Ingested int64 // records emitted by the source (and by stages)
 	Filtered int64 // records dropped by the stage chain
-	Flushed  int64 // records successfully written to the sink (incl. replayed)
+	Flushed  int64 // records successfully written to the sink
 	Retries  int64 // batch write retries
-	// Dropped counts records lost for any reason: retries exhausted with
-	// no spool configured, spool write failure, spool eviction under its
-	// byte bound, retry abandoned at shutdown with no spool, or discarded
-	// at enqueue because the context was cancelled while the queue was
-	// full (source records only; stage emissions always enqueue). After
-	// Run returns,
-	// Ingested == Filtered + Flushed + Dropped + Spooled.
+	// Dropped counts records lost for any reason: refused by an open
+	// breaker, retries exhausted, retry abandoned at shutdown, or
+	// discarded at enqueue because the context was cancelled while the
+	// queue was full (source records only; stage emissions always
+	// enqueue). After Run returns, Ingested == Filtered + Flushed + Dropped.
 	Dropped int64
-	// Spooled counts records currently sitting in the disk spill queue
-	// awaiting replay (they survive the process and are recovered by the
-	// next Run over the same spool directory).
+	// Spooled is always 0: the pipeline has no spool (a cluster router
+	// spools per node, see cluster.NodeStats). It stays only because the
+	// benchmark harness still reads it.
 	Spooled int64
 }
 
-// Pipeline wires source -> stages -> buffer -> sink, with a circuit
-// breaker and an optional disk spill queue between buffer and sink.
+// Pipeline wires source -> stages -> buffer -> sink, with retries and a
+// circuit breaker between buffer and sink.
 type Pipeline struct {
 	Source Source
 	// Stages is the processing chain: each record flows through every
@@ -198,30 +196,27 @@ type Pipeline struct {
 	Config *Config
 
 	// Metrics optionally publishes the pipeline's counters, queue-depth
-	// gauge, breaker/spool gauges and batch/flush/attempt histograms into
+	// gauge, breaker gauge and batch/flush/attempt histograms into
 	// a shared registry; set it before Run. Left nil the same counters
 	// still run standalone, so Stats() is always exact.
 	Metrics *obs.Registry
 
 	// Release, when set, is called once per record after the pipeline's
-	// final disposition of it: delivered to the sink, diverted to the
-	// spool (the spool encodes its own copy), or dropped at a shutdown
-	// enqueue. It exists to return pooled resources — wire it to
-	// syslog.Recycle and every leased listener message goes back to the
-	// listener pool instead of the GC, closing the per-record allocation
-	// loop end to end.
+	// final disposition of it: delivered to the sink, dropped after the
+	// sink refused it, or dropped at a shutdown enqueue. It exists to
+	// return pooled resources — wire it to syslog.Recycle and every leased
+	// listener message goes back to the listener pool instead of the GC,
+	// closing the per-record allocation loop end to end.
 	//
 	// Opt-in, because it asserts the sink retains nothing from the batch
 	// after Write returns (StoreSink qualifies: the store copies what it
 	// keeps; MemorySink does not). Records dropped mid-chain by a stage
 	// are NOT released — stages may retain them (Dedup holds its summary
-	// records) — and neither are spool replays, which are decoded heap
-	// copies.
+	// records).
 	Release func(r Record)
 
 	cfg     Config
 	breaker *resilience.Breaker
-	spool   *resilience.Spool
 
 	// chunkPool recycles the []Record chunks flowing through the queue
 	// channel, so batched ingest does not allocate a slice per handoff.
@@ -234,10 +229,6 @@ type Pipeline struct {
 	flushed      *obs.Counter
 	retries      *obs.Counter
 	dropped      *obs.Counter
-	spooled      *obs.Gauge
-	spooledTotal *obs.Counter
-	replayed     *obs.Counter
-	evicted      *obs.Counter
 	batchSize    *obs.Histogram
 	flushLatency *obs.Histogram
 	attemptLat   *obs.Histogram
@@ -250,23 +241,15 @@ func (p *Pipeline) initMetrics() {
 		p.queueDepth = p.Metrics.Gauge("pipeline_queue_depth",
 			"records buffered between ingest and flush")
 		p.ingested = p.Metrics.Counter("pipeline_ingested_total",
-			"records emitted by the source (including stage-injected and spool-recovered records)")
+			"records emitted by the source (including stage-injected records)")
 		p.filtered = p.Metrics.Counter("pipeline_filtered_total",
 			"records dropped by the stage chain")
 		p.flushed = p.Metrics.Counter("pipeline_flushed_total",
-			"records successfully written to the sink (including spool replays)")
+			"records successfully written to the sink")
 		p.retries = p.Metrics.Counter("pipeline_retries_total",
 			"batch write retries")
 		p.dropped = p.Metrics.Counter("pipeline_dropped_total",
-			"records lost: no spool on sink failure, spool failure/eviction, or discarded at enqueue")
-		p.spooled = p.Metrics.Gauge("pipeline_spooled",
-			"records currently in the disk spill queue awaiting replay")
-		p.spooledTotal = p.Metrics.Counter("pipeline_spooled_total",
-			"records spilled to the disk queue (cumulative)")
-		p.replayed = p.Metrics.Counter("spool_replayed_total",
-			"records replayed from the disk spill queue into the sink")
-		p.evicted = p.Metrics.Counter("spool_evicted_total",
-			"spooled records evicted (oldest first) to respect the spool byte bound")
+			"records lost: refused by the sink after retries or the breaker, or discarded at enqueue")
 		p.batchSize = p.Metrics.Histogram("pipeline_batch_size",
 			"records per flushed batch", obs.SizeBuckets)
 		p.flushLatency = p.Metrics.Histogram("pipeline_flush_seconds",
@@ -286,7 +269,6 @@ func (p *Pipeline) Stats() Stats {
 		Flushed:  p.flushed.Value(),
 		Retries:  p.retries.Value(),
 		Dropped:  p.dropped.Value(),
-		Spooled:  p.spooled.Value(),
 	}
 }
 
@@ -309,8 +291,7 @@ func (p *Pipeline) prepare() error {
 }
 
 // Run operates the pipeline until ctx is cancelled, then drains the buffer
-// (and, if the sink is accepting writes, the spool) and returns the
-// source's error (nil on clean shutdown).
+// into the sink and returns the source's error (nil on clean shutdown).
 func (p *Pipeline) Run(ctx context.Context) error {
 	if err := p.prepare(); err != nil {
 		return err
@@ -325,29 +306,6 @@ func (p *Pipeline) Run(ctx context.Context) error {
 	p.Metrics.GaugeFunc("sink_breaker_state",
 		"sink circuit breaker state (0 closed, 1 half-open, 2 open)",
 		func() int64 { return int64(p.breaker.State()) })
-	if p.cfg.SpoolDir != "" {
-		spool, err := resilience.OpenSpool(resilience.SpoolConfig{
-			Dir: p.cfg.SpoolDir, MaxBytes: p.cfg.SpoolMaxBytes,
-		})
-		if err != nil {
-			return err
-		}
-		p.spool = spool
-		defer p.spool.Close()
-		p.Metrics.GaugeFunc("spool_bytes",
-			"bytes of spooled batch frames on disk",
-			func() int64 { return spool.Bytes() })
-		p.Metrics.GaugeFunc("spool_segments",
-			"live WAL segment files in the spool directory",
-			func() int64 { return int64(spool.Segments()) })
-		// Records spooled by a previous process enter this run through
-		// the spool: count them as Ingested + Spooled so the accounting
-		// invariant spans restarts.
-		if rec := spool.Records(); rec > 0 {
-			p.ingested.Add(rec)
-			p.spooled.Add(rec)
-		}
-	}
 
 	// The queue carries chunks — one chunk per emit on the per-record
 	// path, one per batch on the batched path — so a batched source pays
@@ -362,19 +320,6 @@ func (p *Pipeline) Run(ctx context.Context) error {
 		go func() {
 			defer wg.Done()
 			p.flusher(ctx, queue)
-		}()
-	}
-
-	// The replayer drains the spool back into the sink whenever the
-	// breaker admits writes; it runs on its own context so it keeps
-	// replaying while the source drains during shutdown.
-	replayCtx, stopReplay := context.WithCancel(context.Background())
-	var replayWG sync.WaitGroup
-	if p.spool != nil {
-		replayWG.Add(1)
-		go func() {
-			defer replayWG.Done()
-			p.replayer(replayCtx)
 		}()
 	}
 
@@ -399,8 +344,8 @@ func (p *Pipeline) Run(ctx context.Context) error {
 			return nil
 		case <-ctx.Done():
 			// The records were discarded, not delivered: account for them
-			// so Ingested == Filtered + Flushed + Dropped + Spooled holds
-			// at shutdown, and tell the source to stop.
+			// so Ingested == Filtered + Flushed + Dropped holds at
+			// shutdown, and tell the source to stop.
 			p.queueDepth.Add(-n)
 			p.dropped.Add(n)
 			p.releaseBatch(chunk)
@@ -513,15 +458,6 @@ func (p *Pipeline) Run(ctx context.Context) error {
 	}
 	close(queue)
 	wg.Wait()
-	if p.spool != nil {
-		stopReplay()
-		replayWG.Wait()
-		// Final drain: replay whatever the sink will still take. Bounded:
-		// the first refused or failed write stops it, leaving the rest on
-		// disk for the next run.
-		p.replayDrain(context.Background())
-	}
-	stopReplay()
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
 		errors.Is(err, ErrPipelineClosed) {
 		return nil
@@ -595,16 +531,16 @@ func (p *Pipeline) flusher(ctx context.Context, queue <-chan []Record) {
 // deliver writes one batch through the circuit breaker, retrying with the
 // breaker's jittered capped backoff. A batch the sink will not take —
 // breaker open, retries exhausted, or retry abandoned at shutdown — is
-// diverted to the spool (or dropped when none is configured). Backoff
-// sleeps watch ctx so shutdown never waits out the ladder; the in-flight
-// write attempt itself is never cancelled by shutdown, only by the
-// per-attempt timeout, so shutdown latency is bounded by one attempt.
+// dropped. Backoff sleeps watch ctx so shutdown never waits out the
+// ladder; the in-flight write attempt itself is never cancelled by
+// shutdown, only by the per-attempt timeout, so shutdown latency is
+// bounded by one attempt.
 func (p *Pipeline) deliver(ctx context.Context, batch []Record) {
 	p.batchSize.Observe(float64(len(batch)))
 	start := time.Now()
 	for attempt := 0; ; attempt++ {
 		if !p.breaker.Allow() {
-			p.divert(batch)
+			p.drop(batch)
 			return
 		}
 		err := p.writeAttempt(ctx, batch)
@@ -617,7 +553,7 @@ func (p *Pipeline) deliver(ctx context.Context, batch []Record) {
 		}
 		p.breaker.Failure()
 		if attempt >= p.cfg.MaxRetries {
-			p.divert(batch)
+			p.drop(batch)
 			return
 		}
 		p.retries.Add(1)
@@ -626,7 +562,7 @@ func (p *Pipeline) deliver(ctx context.Context, batch []Record) {
 		case <-t.C:
 		case <-ctx.Done():
 			t.Stop()
-			p.divert(batch)
+			p.drop(batch)
 			return
 		}
 	}
@@ -650,34 +586,11 @@ func (p *Pipeline) writeAttempt(ctx context.Context, batch []Record) error {
 	return err
 }
 
-// divert routes a batch the sink refused into the disk spill queue so
-// nothing is lost; without a spool (or when the disk fails too) the batch
-// is dropped, preserving the pre-spool behaviour. Either way the batch's
-// records reached their final disposition — the spool holds an encoded
-// copy, not the records — so they are released on every path.
-func (p *Pipeline) divert(batch []Record) {
-	defer p.releaseBatch(batch)
-	n := int64(len(batch))
-	if p.spool == nil {
-		p.dropped.Add(n)
-		return
-	}
-	payload, err := encodeBatch(batch)
-	if err == nil {
-		var evicted int64
-		evicted, err = p.spool.Append(payload, len(batch))
-		if evicted > 0 {
-			p.spooled.Add(-evicted)
-			p.dropped.Add(evicted)
-			p.evicted.Add(evicted)
-		}
-	}
-	if err != nil {
-		p.dropped.Add(n)
-		return
-	}
-	p.spooled.Add(n)
-	p.spooledTotal.Add(n)
+// drop accounts a batch the sink refused as Dropped and releases its
+// records: this is their final disposition.
+func (p *Pipeline) drop(batch []Record) {
+	p.dropped.Add(int64(len(batch)))
+	p.releaseBatch(batch)
 }
 
 // releaseBatch invokes the Release hook for each record of a batch that
@@ -688,67 +601,5 @@ func (p *Pipeline) releaseBatch(batch []Record) {
 	}
 	for _, r := range batch {
 		p.Release(r)
-	}
-}
-
-// replayer polls the spool, draining it into the sink whenever the
-// breaker admits writes — including the half-open probe after an outage,
-// which is taken by the oldest spooled frame so replay stays in order.
-func (p *Pipeline) replayer(ctx context.Context) {
-	tick := time.NewTicker(p.cfg.ReplayInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick.C:
-			p.replayDrain(ctx)
-		}
-	}
-}
-
-// replayDrain replays spooled frames oldest-first while the breaker
-// admits writes and they succeed. Replayed records move from Spooled to
-// Flushed; an undecodable frame (version skew) is dropped.
-//
-// Eviction can race an in-flight replay: a flush worker's divert ->
-// Spool.Append may evict the head segment while the peeked frame is
-// being written to the sink. Pop therefore takes the Peek token and
-// refuses to consume a different frame; a refused Pop means eviction
-// already accounted the frame (Spooled -> Dropped via divert), so only
-// the delta between that and what actually happened is applied here.
-func (p *Pipeline) replayDrain(ctx context.Context) {
-	for ctx.Err() == nil {
-		payload, n, tok, ok, err := p.spool.Peek()
-		if err != nil || !ok {
-			return
-		}
-		batch, derr := decodeBatch(payload)
-		if derr != nil {
-			if p.spool.Pop(tok) {
-				p.spooled.Add(-int64(n))
-				p.dropped.Add(int64(n))
-			}
-			continue
-		}
-		if !p.breaker.Allow() {
-			return
-		}
-		if err := p.writeAttempt(ctx, batch); err != nil {
-			p.breaker.Failure()
-			return
-		}
-		p.breaker.Success()
-		if p.spool.Pop(tok) {
-			p.spooled.Add(-int64(n))
-		} else {
-			// The frame reached the sink but was evicted mid-write and
-			// billed as Dropped (and evicted): it was in fact delivered,
-			// so reclassify Dropped -> Flushed.
-			p.dropped.Add(-int64(n))
-			p.evicted.Add(-int64(n))
-		}
-		p.flushed.Add(int64(n))
-		p.replayed.Add(int64(n))
 	}
 }

@@ -17,7 +17,7 @@ type Config struct {
 	// (default 250ms).
 	FlushInterval time.Duration
 	// MaxRetries bounds redelivery attempts per batch before the batch
-	// is diverted to the spool (or dropped without one) (default 3).
+	// is dropped (default 3).
 	MaxRetries int
 	// RetryBackoff is the initial backoff of the jittered exponential
 	// ladder shared by per-batch retries and the circuit breaker's open
@@ -45,22 +45,12 @@ type Config struct {
 	// attempt, so this is also the bound on shutdown latency.
 	WriteTimeout time.Duration
 	// BreakerThreshold is how many consecutive failed write attempts
-	// trip the circuit breaker open (default 5). While open, batches
-	// divert straight to the spool instead of hammering the sink.
+	// trip the circuit breaker open (default 5). While open, batches are
+	// dropped instead of hammering the sink.
 	BreakerThreshold int
 	// Seed seeds the jitter source (default 1), so retry schedules are
 	// reproducible and differently seeded pipelines desynchronize.
 	Seed int64
-	// SpoolDir, when set, enables the disk spill queue: batches the sink
-	// refuses are appended to a WAL under this directory and replayed in
-	// order when the sink recovers (including across process restarts).
-	SpoolDir string
-	// SpoolMaxBytes bounds the spool; exceeding it evicts the oldest
-	// segment (evicted records count as Dropped). 0 means unbounded.
-	SpoolMaxBytes int64
-	// ReplayInterval is how often the replayer polls the spool for
-	// frames to push back into the sink (default 50ms).
-	ReplayInterval time.Duration
 	// SweepInterval is how often the pipeline calls Sweep(now) on stages
 	// implementing the sweep lifecycle hook (default 1s). Negative
 	// disables the ticker, leaving such stages to their own lazy sweeps;
@@ -110,15 +100,6 @@ func (c Config) Validate() error {
 	if c.BreakerThreshold < 0 {
 		bad("BreakerThreshold %d is negative", c.BreakerThreshold)
 	}
-	if c.SpoolMaxBytes < 0 {
-		bad("SpoolMaxBytes %d is negative", c.SpoolMaxBytes)
-	}
-	if c.SpoolMaxBytes > 0 && c.SpoolDir == "" {
-		bad("SpoolMaxBytes %d set without SpoolDir", c.SpoolMaxBytes)
-	}
-	if c.ReplayInterval < 0 {
-		bad("ReplayInterval %v is negative", c.ReplayInterval)
-	}
 	return errors.Join(errs...)
 }
 
@@ -158,9 +139,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.ReplayInterval <= 0 {
-		c.ReplayInterval = 50 * time.Millisecond
 	}
 	if c.SweepInterval == 0 {
 		c.SweepInterval = time.Second

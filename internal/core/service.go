@@ -43,7 +43,7 @@ type Service struct {
 	Store      *store.Store
 	// Indexer, when set, takes precedence over Store as the destination
 	// for classified documents. Unlike the in-process Store it can fail;
-	// Write surfaces the error so the pipeline's retry/breaker/spool
+	// Write surfaces the error so the pipeline's retry/breaker
 	// machinery applies. Alerting may re-fire on a redelivered batch (the
 	// per-category cooldown mutes the repeats).
 	Indexer DocIndexer

@@ -14,10 +14,11 @@ import (
 
 // Spool is a disk-backed spill queue: an append-only write-ahead log of
 // opaque payload frames, stored as numbered segment files under one
-// directory. The collector pipeline appends a frame per undeliverable
-// batch and replays frames oldest-first once the sink recovers, so a
-// sink outage turns into spooled bytes instead of dropped records —
-// the role Fluentd's file buffer plays in the paper's substrate (§4.2).
+// directory. The cluster router keeps one per store node: it appends a
+// frame per batch share the node cannot take and replays frames
+// oldest-first once the node recovers, so a node outage turns into
+// spooled bytes instead of dropped records — the role Fluentd's file
+// buffer plays in the paper's substrate (§4.2).
 //
 // On-disk format, per frame:
 //
@@ -35,8 +36,8 @@ import (
 //
 // Capacity is bounded by MaxBytes with oldest-segment eviction: when an
 // append would exceed the bound, whole leading segments are deleted and
-// their record counts reported back to the caller (the pipeline accounts
-// them as Dropped — the spool prefers losing the oldest evidence to
+// their record counts reported back to the caller (the router counts
+// them as evicted — the spool prefers losing the oldest evidence to
 // refusing the newest). MaxBytes is a hard bound: a single frame that
 // would not fit in an otherwise empty spool is rejected with
 // ErrFrameTooLarge instead of overshooting.

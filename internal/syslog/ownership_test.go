@@ -30,7 +30,7 @@ func TestMessageOwnershipStateMachine(t *testing.T) {
 	}
 
 	// Leasing a non-pooled message is a no-op: the pipeline may pass a
-	// heap message (spool replay, tests) through the same code path.
+	// heap message (a stage's own record, tests) through the same code path.
 	heap := &Message{}
 	heap.Lease()
 	if heap.pooled || heap.leased || heap.Transient() {
